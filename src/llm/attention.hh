@@ -19,62 +19,51 @@ namespace vrex
 {
 
 /**
- * Compute attention output for a block of T query tokens.
- *
- * Degenerate-input contract (asserted, not silently tolerated):
- *  - kv.keys and kv.values must both hold exactly past_len + T rows
- *    (the block must already be appended to the cache);
- *  - a non-null selection must carry cfg.nKvHeads head entries, and
- *    every explicit (selectAll == false) index list must stay below
- *    past_len — in particular, at past_len == 0 only selectAll or an
- *    empty index list is legal;
- *  - T == 0 (an empty query block) is handled explicitly: the result
- *    is an empty 0 x dModel matrix and the cache/selection are not
- *    read.
- *
- * @param cfg       Model geometry.
- * @param q         Post-RoPE queries, T x (nHeads*headDim).
- * @param kv        One layer's cache; must already contain the block,
- *                  i.e. kv.keys.rows() == past_len + T.
- * @param past_len  Tokens preceding the block.
- * @param sel       Per-KV-head past-token selection; nullptr = full.
- *                  Block tokens are always attended causally.
- * @param out       Result, T x dModel (heads concatenated).
+ * One session's contiguous run of query rows in an attention call:
+ * those rows attend that session's own cache under its own
+ * selection.
  */
-void attentionForward(const ModelConfig &cfg, const Matrix &q,
-                      const LayerKV &kv, uint32_t past_len,
-                      const LayerSelection *sel, Matrix &out);
-
-/**
- * One member of a cross-session batched generation step: a single
- * query token attending that session's own cache under that
- * session's own selection. The same degenerate-input contract as
- * attentionForward() applies per item (with T == 1, so
- * kv->keys.rows() == pastLen + 1).
- */
-struct AttentionBatchItem
+struct AttentionSegment
 {
+    /** One layer's cache; must already contain the segment's rows,
+     *  i.e. kv->keys.rows() == pastLen + rows. */
     const LayerKV *kv = nullptr;
+    /** Tokens preceding the segment's rows. */
     uint32_t pastLen = 0;
-    /** Per-KV-head past-token selection; nullptr = full. */
+    /** Per-KV-head past-token selection; nullptr = full. The
+     *  segment's own rows are always attended causally. */
     const LayerSelection *sel = nullptr;
+    /** Query rows of the segment (0 = nothing to attend). */
+    uint32_t rows = 0;
 };
 
 /**
- * Fused single-token attention over N independent sessions.
+ * Compute attention output for a block of query rows made of
+ * consecutive segments (one session's T-token block is one segment;
+ * a fused decode step over N sessions is N segments of one row).
  *
- * @param cfg   Model geometry shared by every item.
- * @param q     Post-RoPE queries, N x (nHeads*headDim); row i is
- *              item i's single query token.
- * @param items One (cache, past length, selection) tuple per row.
- * @param out   Result, N x dModel; row i is bit-identical to
- *              attentionForward() over a 1-row q for item i — both
- *              paths run the same per-(head, token) kernel, so
- *              batching cannot change any session's bytes.
+ * Degenerate-input contract, per segment (asserted, not silently
+ * tolerated):
+ *  - kv->keys and kv->values must both hold exactly pastLen + rows
+ *    rows (the segment must already be appended to the cache);
+ *  - a non-null selection must carry cfg.nKvHeads head entries, and
+ *    every explicit (selectAll == false) index list must stay below
+ *    pastLen — in particular, at pastLen == 0 only selectAll or an
+ *    empty index list is legal;
+ *  - rows == 0 is a no-op: that segment's cache and selection are
+ *    not read, so an all-empty call yields a 0 x dModel result.
+ *
+ * @param cfg   Model geometry shared by every segment.
+ * @param q     Post-RoPE queries, (sum of rows) x (nHeads*headDim);
+ *              segments own consecutive row ranges in order.
+ * @param segs  The segments tiling q's rows.
+ * @param out   Result, q.rows() x dModel (heads concatenated). Each
+ *              row depends only on its own segment, so a segment's
+ *              rows are bit-identical whatever segments surround it.
  */
-void attentionForwardBatched(const ModelConfig &cfg, const Matrix &q,
-                             const std::vector<AttentionBatchItem> &items,
-                             Matrix &out);
+void attentionForward(const ModelConfig &cfg, const Matrix &q,
+                      const std::vector<AttentionSegment> &segs,
+                      Matrix &out);
 
 } // namespace vrex
 

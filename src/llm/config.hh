@@ -29,6 +29,11 @@ struct ModelConfig
     uint32_t vocabSize = 0;
     float ropeTheta = 10000.0f;
 
+    /** Field-wise equality. Weights derive from (name, seed) and the
+     *  shapes, RoPE from ropeTheta, so only equal configs may share
+     *  one forward pass. */
+    bool operator==(const ModelConfig &) const = default;
+
     uint32_t headDim() const { return dModel / nHeads; }
 
     /** Queries per KV head under grouped-query attention. */

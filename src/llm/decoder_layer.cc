@@ -22,11 +22,21 @@ randomWeight(uint32_t out_dim, uint32_t in_dim, Rng &rng)
     return w;
 }
 
+/** Copy of rows [begin, begin + count) of @p m. */
+Matrix
+rowsOf(const Matrix &m, uint32_t begin, uint32_t count)
+{
+    Matrix out(count, m.cols());
+    std::copy_n(m.row(begin), static_cast<size_t>(count) * m.cols(),
+                out.raw());
+    return out;
+}
+
 } // namespace
 
 DecoderLayer::DecoderLayer(const ModelConfig &config, uint32_t index,
                            uint64_t seed)
-    : cfg(config), layerIndex(index), weightSeed(seed)
+    : cfg(config), layerIndex(index)
 {
     Rng rng(seed, cfg.name + "/layer" + std::to_string(index));
     const uint32_t d = cfg.dModel;
@@ -48,52 +58,47 @@ DecoderLayer::DecoderLayer(const ModelConfig &config, uint32_t index,
 }
 
 std::vector<LayerSelection>
-DecoderLayer::forwardBatched(
-    const std::vector<const DecoderLayer *> &layers, Matrix &x,
-    const std::vector<BatchItem> &items, TokenStage stage)
+DecoderLayer::forward(Matrix &x, const std::vector<Segment> &segs,
+                      TokenStage stage)
 {
-    const uint32_t n = static_cast<uint32_t>(layers.size());
-    VREX_ASSERT(n > 0, "batched layer forward needs sessions");
-    VREX_ASSERT(items.size() == n && x.rows() == n,
-                "batched layer forward row/item mismatch");
-    const ModelConfig &cfg = layers[0]->cfg;
+    const uint32_t n = static_cast<uint32_t>(segs.size());
+    VREX_ASSERT(n > 0, "layer forward needs segments");
+    const ModelConfig &cfg = segs[0].layer->cfg;
+    const uint32_t layer_index = segs[0].layer->layerIndex;
     const uint32_t d = cfg.dModel;
     const uint32_t head_dim = cfg.headDim();
-    const uint32_t kv_dim = cfg.nKvHeads * head_dim;
-    const uint32_t layer_index = layers[0]->layerIndex;
-    for (const DecoderLayer *l : layers)
-        VREX_ASSERT(l->layerIndex == layer_index &&
-                        l->cfg.dModel == d &&
-                        l->cfg.nHeads == cfg.nHeads &&
-                        l->cfg.nKvHeads == cfg.nKvHeads &&
-                        l->cfg.ffnDim == cfg.ffnDim,
-                    "batched layer forward needs one geometry");
 
-    // Contiguous equal-seed runs share one weight stream: equal
-    // (config, seed) means byte-identical weights, so any member of
-    // the run can lend its matrices to the whole group.
-    std::vector<std::pair<uint32_t, uint32_t>> runs;
-    uint32_t begin = 0;
-    for (uint32_t i = 1; i <= n; ++i) {
-        if (i == n ||
-            layers[i]->weightSeed != layers[begin]->weightSeed) {
-            runs.emplace_back(begin, i);
-            begin = i;
-        }
+    // Segment i owns rows [row0[i], row0[i + 1]) of x.
+    std::vector<uint32_t> row0(n + 1, 0);
+    for (uint32_t i = 0; i < n; ++i) {
+        const Segment &seg = segs[i];
+        VREX_ASSERT(seg.layer->cfg == cfg &&
+                        seg.layer->layerIndex == layer_index,
+                    "one layer forward needs one config and layer");
+        VREX_ASSERT(seg.cache != nullptr && seg.rows > 0,
+                    "layer segment needs a cache and rows");
+        row0[i + 1] = row0[i] + seg.rows;
     }
+    VREX_ASSERT(row0[n] == x.rows() && x.cols() == d,
+                "layer segments must tile the block");
+
+    // Adjacent segments on one layer object share its weight stream.
     auto groupsFor = [&](const Matrix DecoderLayer::*w) {
         std::vector<RowGroup> gs;
-        gs.reserve(runs.size());
-        for (const auto &[b, e] : runs)
-            gs.push_back({b, e, &(layers[b]->*w)});
+        for (uint32_t i = 0; i < n; ++i) {
+            if (i > 0 && segs[i].layer == segs[i - 1].layer)
+                gs.back().rowEnd = row0[i + 1];
+            else
+                gs.push_back({row0[i], row0[i + 1], &(segs[i].layer->*w)});
+        }
         return gs;
     };
 
-    // Attention sub-block: forward()'s exact steps, one row per
-    // session, with the projections fused across the batch.
+    // Attention sub-block.
     Matrix h = x;
     for (uint32_t i = 0; i < n; ++i)
-        rmsNorm(h.row(i), layers[i]->attnNorm.data(), d);
+        for (uint32_t t = row0[i]; t < row0[i + 1]; ++t)
+            rmsNorm(h.row(t), segs[i].layer->attnNorm.data(), d);
 
     Matrix q, k, v;
     matmulTransposedGrouped(h, groupsFor(&DecoderLayer::wq), q);
@@ -101,131 +106,66 @@ DecoderLayer::forwardBatched(
     matmulTransposedGrouped(h, groupsFor(&DecoderLayer::wv), v);
 
     for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t pos = items[i].basePos;
-        for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
-            applyRope(q.row(i) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
-        for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
-            applyRope(k.row(i) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
+        for (uint32_t t = row0[i]; t < row0[i + 1]; ++t) {
+            const uint32_t pos = segs[i].basePos + (t - row0[i]);
+            for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
+                applyRope(q.row(t) + hh * head_dim, head_dim, pos,
+                          cfg.ropeTheta);
+            for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
+                applyRope(k.row(t) + hh * head_dim, head_dim, pos,
+                          cfg.ropeTheta);
+        }
     }
 
-    // Cache append + policy consultation touch session-private
-    // state: per session, in the order forward() performs them.
+    // Cache append and policy consultation touch session-private
+    // state: per segment, on that segment's rows only.
     std::vector<LayerSelection> sels;
     sels.reserve(n);
-    Matrix k1(1, kv_dim), v1(1, kv_dim), q1(1, d);
     for (uint32_t i = 0; i < n; ++i) {
-        KVCache &cache = *items[i].cache;
-        std::copy_n(k.row(i), kv_dim, k1.row(0));
-        std::copy_n(v.row(i), kv_dim, v1.row(0));
-        cache.appendLayer(layer_index, k1, v1);
+        const Segment &seg = segs[i];
+        seg.cache->appendLayer(layer_index, rowsOf(k, row0[i], seg.rows),
+                               rowsOf(v, row0[i], seg.rows));
         LayerSelection sel = LayerSelection::full(cfg.nKvHeads);
-        if (items[i].policy) {
-            items[i].policy->onBlockAppended(
-                layer_index, cache, items[i].basePos, 1, stage);
-            std::copy_n(q.row(i), d, q1.row(0));
-            sel = items[i].policy->select(layer_index, q1, cache,
-                                          items[i].basePos, stage);
+        if (seg.policy) {
+            seg.policy->onBlockAppended(layer_index, *seg.cache,
+                                        seg.basePos, seg.rows, stage);
+            sel = seg.policy->select(layer_index,
+                                     rowsOf(q, row0[i], seg.rows),
+                                     *seg.cache, seg.basePos, stage);
         }
         sels.push_back(std::move(sel));
     }
+    std::vector<AttentionSegment> attn(n);
+    for (uint32_t i = 0; i < n; ++i)
+        attn[i] = {&segs[i].cache->layer(layer_index), segs[i].basePos,
+                   &sels[i], segs[i].rows};
 
     Matrix attn_out;
-    std::vector<AttentionBatchItem> attn_items(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        attn_items[i].kv = &items[i].cache->layer(layer_index);
-        attn_items[i].pastLen = items[i].basePos;
-        attn_items[i].sel = &sels[i];
-    }
-    attentionForwardBatched(cfg, q, attn_items, attn_out);
+    attentionForward(cfg, q, attn, attn_out);
 
     Matrix proj;
     matmulTransposedGrouped(attn_out, groupsFor(&DecoderLayer::wo),
                             proj);
-    for (uint32_t i = 0; i < n; ++i)
-        addInPlace(x.row(i), proj.row(i), d);
-
-    // FFN sub-block.
-    Matrix h2 = x;
-    for (uint32_t i = 0; i < n; ++i)
-        rmsNorm(h2.row(i), layers[i]->ffnNorm.data(), d);
-    Matrix gate, up, down;
-    matmulTransposedGrouped(h2, groupsFor(&DecoderLayer::w1), gate);
-    matmulTransposedGrouped(h2, groupsFor(&DecoderLayer::w3), up);
-    for (uint32_t i = 0; i < n; ++i) {
-        silu(gate.row(i), cfg.ffnDim);
-        hadamard(gate.row(i), up.row(i), cfg.ffnDim);
-    }
-    matmulTransposedGrouped(gate, groupsFor(&DecoderLayer::w2), down);
-    for (uint32_t i = 0; i < n; ++i)
-        addInPlace(x.row(i), down.row(i), d);
-
-    return sels;
-}
-
-LayerSelection
-DecoderLayer::forward(Matrix &x, KVCache &cache, SelectionPolicy *policy,
-                      TokenStage stage, uint32_t base_pos) const
-{
-    const uint32_t block_len = x.rows();
-    const uint32_t d = cfg.dModel;
-    const uint32_t head_dim = cfg.headDim();
-    const uint32_t past_len = base_pos;
-
-    // Attention sub-block.
-    Matrix h = x;
-    for (uint32_t t = 0; t < block_len; ++t)
-        rmsNorm(h.row(t), attnNorm.data(), d);
-
-    Matrix q, k, v;
-    matmulTransposed(h, wq, q);
-    matmulTransposed(h, wk, k);
-    matmulTransposed(h, wv, v);
-
-    for (uint32_t t = 0; t < block_len; ++t) {
-        const uint32_t pos = base_pos + t;
-        for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
-            applyRope(q.row(t) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
-        for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
-            applyRope(k.row(t) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
-    }
-
-    cache.appendLayer(layerIndex, k, v);
-    LayerSelection sel = LayerSelection::full(cfg.nKvHeads);
-    if (policy) {
-        policy->onBlockAppended(layerIndex, cache, past_len, block_len,
-                                stage);
-        sel = policy->select(layerIndex, q, cache, past_len, stage);
-    }
-
-    Matrix attn_out;
-    attentionForward(cfg, q, cache.layer(layerIndex), past_len, &sel,
-                     attn_out);
-
-    Matrix proj;
-    matmulTransposed(attn_out, wo, proj);
-    for (uint32_t t = 0; t < block_len; ++t)
+    for (uint32_t t = 0; t < x.rows(); ++t)
         addInPlace(x.row(t), proj.row(t), d);
 
     // FFN sub-block.
     Matrix h2 = x;
-    for (uint32_t t = 0; t < block_len; ++t)
-        rmsNorm(h2.row(t), ffnNorm.data(), d);
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t t = row0[i]; t < row0[i + 1]; ++t)
+            rmsNorm(h2.row(t), segs[i].layer->ffnNorm.data(), d);
     Matrix gate, up, down;
-    matmulTransposed(h2, w1, gate);
-    matmulTransposed(h2, w3, up);
-    for (uint32_t t = 0; t < block_len; ++t) {
+    matmulTransposedGrouped(h2, groupsFor(&DecoderLayer::w1), gate);
+    matmulTransposedGrouped(h2, groupsFor(&DecoderLayer::w3), up);
+    for (uint32_t t = 0; t < x.rows(); ++t) {
         silu(gate.row(t), cfg.ffnDim);
         hadamard(gate.row(t), up.row(t), cfg.ffnDim);
     }
-    matmulTransposed(gate, w2, down);
-    for (uint32_t t = 0; t < block_len; ++t)
+    matmulTransposedGrouped(gate, groupsFor(&DecoderLayer::w2), down);
+    for (uint32_t t = 0; t < x.rows(); ++t)
         addInPlace(x.row(t), down.row(t), d);
 
-    return sel;
+    return sels;
 }
 
 } // namespace vrex

@@ -28,60 +28,43 @@ class DecoderLayer
                  uint64_t seed);
 
     /**
-     * Forward one block of hidden states in place.
-     *
-     * Appends this layer's K/V to @p cache, consults @p policy for
-     * past-token selection, and records the selection ratio.
-     *
-     * @param x         Hidden states, block_len x dModel (updated).
-     * @param cache     The KV cache (beginTokens already called).
-     * @param policy    Retrieval policy; nullptr = full attention.
-     * @param stage     Pipeline stage of this block.
-     * @param base_pos  Absolute position of the block's first token.
-     * @return The selection used (for ratio accounting).
+     * One session's contiguous run of rows in a forwarded block.
+     * Segments whose @p layer is the same object share that layer's
+     * weight stream (one grouped matmul run); the caller decides
+     * which sessions may share (Model::forward()).
      */
-    LayerSelection forward(Matrix &x, KVCache &cache,
-                           SelectionPolicy *policy, TokenStage stage,
-                           uint32_t base_pos) const;
-
-    /** One session's slot in a batched single-token forward. */
-    struct BatchItem
+    struct Segment
     {
-        KVCache *cache = nullptr;
+        const DecoderLayer *layer = nullptr; //!< Weights and norms.
+        KVCache *cache = nullptr;  //!< beginTokens already called.
         SelectionPolicy *policy = nullptr; //!< nullptr = full.
-        uint32_t basePos = 0;              //!< Past length / position.
+        uint32_t basePos = 0; //!< Past length = first row's position.
+        uint32_t rows = 0;    //!< Block rows of this session (>= 1).
     };
 
     /**
-     * Fused single-token forward over N independent sessions:
-     * layers[i] is session i's copy of the *same* layer index, row i
-     * of @p x is session i's hidden state (updated in place), and
-     * items[i] carries session i's cache/policy/position.
+     * Forward a block of hidden states in place: @p x holds the
+     * segments' rows back to back, in order. Every segment must be
+     * built on one config and one layer index.
      *
-     * The projections run through the row-grouped matmul (sessions
-     * with equal weight seeds share one weight stream); every
-     * per-row op (norms, RoPE, activations, residuals), the cache
-     * append, the policy calls and the attention kernel are the
-     * per-session operations forward() performs, in the same
-     * per-session order — so each session's bytes are identical to
-     * a solo forward() with a 1-row block.
+     * Per segment this appends the layer's K/V to its cache, consults
+     * its policy for past-token selection and attends its own cache;
+     * the projections run through the row-grouped matmul. Every
+     * per-row result is the same dot() and per-row op whatever the
+     * segments around it, so each segment's bytes equal a call with
+     * that segment alone.
+     *
+     * @return The selection each segment used (ratio accounting).
      */
     static std::vector<LayerSelection>
-    forwardBatched(const std::vector<const DecoderLayer *> &layers,
-                   Matrix &x, const std::vector<BatchItem> &items,
-                   TokenStage stage);
+    forward(Matrix &x, const std::vector<Segment> &segs,
+            TokenStage stage);
 
     uint32_t index() const { return layerIndex; }
-
-    /** The weight-stream seed this layer was built from: layers with
-     *  equal (config, seed) have byte-identical weights, which is
-     *  what lets batched rows share one weight matrix. */
-    uint64_t seed() const { return weightSeed; }
 
   private:
     ModelConfig cfg;
     uint32_t layerIndex;
-    uint64_t weightSeed;
 
     // Weights stored as [out_features x in_features] for matmulT.
     Matrix wq, wk, wv, wo;

@@ -1,6 +1,7 @@
 #include "llm/model.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/rng.hh"
 #include "tensor/ops.hh"
@@ -43,131 +44,136 @@ Model::embedTokens(const std::vector<uint32_t> &ids) const
     return x;
 }
 
+std::vector<std::vector<uint32_t>>
+Model::weightGroups(const std::vector<const Model *> &models)
+{
+    VREX_ASSERT(!models.empty(), "forward needs models");
+    for (const Model *m : models)
+        VREX_ASSERT(m->cfg == models[0]->cfg,
+                    "one forward needs one model config");
+    std::vector<uint32_t> order(models.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return models[a]->weightSeed <
+                             models[b]->weightSeed;
+                     });
+    std::vector<std::vector<uint32_t>> groups;
+    for (uint32_t i : order) {
+        if (groups.empty() ||
+            models[groups.back()[0]]->weightSeed != models[i]->weightSeed)
+            groups.emplace_back();
+        groups.back().push_back(i);
+    }
+    return groups;
+}
+
 BlockStats
 Model::forwardBlock(Matrix x, int32_t frame_id, TokenStage stage)
 {
-    VREX_ASSERT(x.cols() == cfg.dModel, "bad block width");
-    const uint32_t base = kv.tokenCount();
-    const uint32_t block_len = x.rows();
-    kv.beginTokens(block_len, frame_id, stage);
-
-    BlockStats stats;
-    stats.stage = stage;
-    stats.blockLen = block_len;
-    stats.pastLen = base;
-    stats.layerRatios.reserve(cfg.nLayers);
-    stats.selectedPerHead.reserve(cfg.nLayers);
-
-    for (const auto &layer : layers) {
-        LayerSelection sel =
-            layer.forward(x, kv, selPolicy, stage, base);
-        stats.layerRatios.push_back(sel.selectedRatio(base));
-        std::vector<uint32_t> per_head;
-        per_head.reserve(sel.kvHeads.size());
-        for (const auto &h : sel.kvHeads)
-            per_head.push_back(h.selectedCount(base));
-        stats.selectedPerHead.push_back(std::move(per_head));
-    }
-
-    // Final norm of the last row becomes the decoding state.
-    lastHid.assign(x.row(block_len - 1),
-                   x.row(block_len - 1) + cfg.dModel);
-    rmsNorm(lastHid.data(), finalNorm.data(), cfg.dModel);
-
-    blockHistory.push_back(stats);
-    return blockHistory.back();
+    return forward({{this, std::move(x)}}, frame_id, stage)[0];
 }
 
 std::vector<BlockStats>
-Model::forwardBlockBatched(const std::vector<Model *> &models,
-                          Matrix x, int32_t frame_id, TokenStage stage)
+Model::forward(const std::vector<Segment> &segs, int32_t frame_id,
+               TokenStage stage)
 {
-    const uint32_t n = static_cast<uint32_t>(models.size());
-    VREX_ASSERT(n > 0, "batched forward needs models");
-    const ModelConfig &cfg = models[0]->cfg;
-    VREX_ASSERT(x.rows() == n && x.cols() == cfg.dModel,
-                "batched forward row/model mismatch");
-    for (const Model *m : models)
-        VREX_ASSERT(m->cfg.nLayers == cfg.nLayers &&
-                        m->cfg.dModel == cfg.dModel &&
-                        m->cfg.nHeads == cfg.nHeads &&
-                        m->cfg.nKvHeads == cfg.nKvHeads &&
-                        m->cfg.ffnDim == cfg.ffnDim &&
-                        m->cfg.vocabSize == cfg.vocabSize,
-                    "batched forward needs one geometry");
-
-    std::vector<BlockStats> stats(n);
-    std::vector<DecoderLayer::BatchItem> items(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        Model &m = *models[i];
-        const uint32_t base = m.kv.tokenCount();
-        m.kv.beginTokens(1, frame_id, stage);
-        items[i].cache = &m.kv;
-        items[i].policy = m.selPolicy;
-        items[i].basePos = base;
+    std::vector<const Model *> models;
+    std::vector<BlockStats> stats(segs.size());
+    for (size_t i = 0; i < segs.size(); ++i) {
+        models.push_back(segs[i].model);
         stats[i].stage = stage;
-        stats[i].blockLen = 1;
-        stats[i].pastLen = base;
-        stats[i].layerRatios.reserve(cfg.nLayers);
-        stats[i].selectedPerHead.reserve(cfg.nLayers);
+        stats[i].blockLen = segs[i].x.rows();
+        stats[i].pastLen = segs[i].model->kv.tokenCount();
     }
+    const std::vector<std::vector<uint32_t>> groups = weightGroups(models);
+    const ModelConfig &cfg = models[0]->cfg;
 
-    std::vector<const DecoderLayer *> layer_ptrs(n);
+    // Rows are laid out weight group by weight group, so models
+    // sharing weights own adjacent rows and one layer object. A
+    // zero-row segment is left out: it touches nothing of its model.
+    Matrix x(0, cfg.dModel);
+    std::vector<uint32_t> order;
+    std::vector<const Model *> lender;
+    for (const std::vector<uint32_t> &g : groups) {
+        for (uint32_t i : g) {
+            const Matrix &xi = segs[i].x;
+            if (xi.rows() == 0)
+                continue;
+            VREX_ASSERT(xi.cols() == cfg.dModel, "bad block width");
+            for (uint32_t t = 0; t < xi.rows(); ++t)
+                x.appendRow(xi.row(t));
+            order.push_back(i);
+            lender.push_back(models[g[0]]);
+        }
+    }
+    if (order.empty())
+        return stats;
+
+    std::vector<DecoderLayer::Segment> layer_segs;
+    for (uint32_t i : order) {
+        Model &m = *segs[i].model;
+        m.kv.beginTokens(stats[i].blockLen, frame_id, stage);
+        layer_segs.push_back({nullptr, &m.kv, m.selPolicy,
+                              stats[i].pastLen, stats[i].blockLen});
+    }
     for (uint32_t l = 0; l < cfg.nLayers; ++l) {
-        for (uint32_t i = 0; i < n; ++i)
-            layer_ptrs[i] = &models[i]->layers[l];
-        std::vector<LayerSelection> sels =
-            DecoderLayer::forwardBatched(layer_ptrs, x, items, stage);
-        for (uint32_t i = 0; i < n; ++i) {
-            const LayerSelection &sel = sels[i];
-            const uint32_t base = items[i].basePos;
-            stats[i].layerRatios.push_back(sel.selectedRatio(base));
+        for (size_t k = 0; k < order.size(); ++k)
+            layer_segs[k].layer = &lender[k]->layers[l];
+        const std::vector<LayerSelection> sels =
+            DecoderLayer::forward(x, layer_segs, stage);
+        for (size_t k = 0; k < order.size(); ++k) {
+            BlockStats &st = stats[order[k]];
+            st.layerRatios.push_back(sels[k].selectedRatio(st.pastLen));
             std::vector<uint32_t> per_head;
-            per_head.reserve(sel.kvHeads.size());
-            for (const auto &h : sel.kvHeads)
-                per_head.push_back(h.selectedCount(base));
-            stats[i].selectedPerHead.push_back(std::move(per_head));
+            per_head.reserve(sels[k].kvHeads.size());
+            for (const auto &h : sels[k].kvHeads)
+                per_head.push_back(h.selectedCount(st.pastLen));
+            st.selectedPerHead.push_back(std::move(per_head));
         }
     }
 
-    // Final norm of each model's row becomes its decoding state.
-    for (uint32_t i = 0; i < n; ++i) {
-        Model &m = *models[i];
-        m.lastHid.assign(x.row(i), x.row(i) + cfg.dModel);
+    // Final norm of each segment's last row becomes its decoding
+    // state.
+    uint32_t row = 0;
+    for (uint32_t i : order) {
+        Model &m = *segs[i].model;
+        row += stats[i].blockLen;
+        m.lastHid.assign(x.row(row - 1), x.row(row - 1) + cfg.dModel);
         rmsNorm(m.lastHid.data(), m.finalNorm.data(), cfg.dModel);
         m.blockHistory.push_back(stats[i]);
     }
     return stats;
 }
 
-Matrix
-Model::lastLogitsBatched(const std::vector<Model *> &models)
+std::vector<std::vector<float>>
+Model::logits(const std::vector<const Model *> &models)
 {
-    const uint32_t n = static_cast<uint32_t>(models.size());
-    VREX_ASSERT(n > 0, "batched logits need models");
+    // logits = lastHid · embedding^T as one grouped matmul, so one
+    // streamed embedding row serves every model of a weight group.
+    // Each element is the single dot() of that model's hidden state
+    // and embedding row.
+    const std::vector<std::vector<uint32_t>> groups = weightGroups(models);
     const ModelConfig &cfg = models[0]->cfg;
-
-    Matrix hid(n, cfg.dModel);
-    std::vector<RowGroup> groups;
-    for (uint32_t i = 0; i < n; ++i) {
-        const Model &m = *models[i];
-        VREX_ASSERT(m.cfg.dModel == cfg.dModel &&
-                        m.cfg.vocabSize == cfg.vocabSize,
-                    "batched logits need one geometry");
-        std::copy_n(m.lastHid.data(), cfg.dModel, hid.row(i));
-        if (groups.empty() ||
-            models[groups.back().rowBegin]->weightSeed != m.weightSeed)
-            groups.push_back({i, i + 1, &m.embedding});
-        else
-            groups.back().rowEnd = i + 1;
+    Matrix hid(0, cfg.dModel);
+    std::vector<RowGroup> row_groups;
+    std::vector<uint32_t> order;
+    for (const std::vector<uint32_t> &g : groups) {
+        const uint32_t begin = hid.rows();
+        row_groups.push_back({begin, begin + static_cast<uint32_t>(g.size()),
+                              &models[g[0]]->embedding});
+        for (uint32_t i : g) {
+            hid.appendRow(models[i]->lastHid.data());
+            order.push_back(i);
+        }
     }
 
-    // logits = lastHid · embedding^T, fused so one streamed
-    // embedding row serves every model of a seed group. Each element
-    // is the dot() lastLogits() computes.
-    Matrix logits;
-    matmulTransposedGrouped(hid, groups, logits);
-    return logits;
+    Matrix prod;
+    matmulTransposedGrouped(hid, row_groups, prod);
+    std::vector<std::vector<float>> out(models.size());
+    for (uint32_t r = 0; r < order.size(); ++r)
+        out[order[r]].assign(prod.row(r), prod.row(r) + cfg.vocabSize);
+    return out;
 }
 
 BlockStats
@@ -185,10 +191,7 @@ Model::prefillText(const std::vector<uint32_t> &ids)
 std::vector<float>
 Model::lastLogits() const
 {
-    std::vector<float> logits(cfg.vocabSize, 0.0f);
-    for (uint32_t v = 0; v < cfg.vocabSize; ++v)
-        logits[v] = dot(lastHid.data(), embedding.row(v), cfg.dModel);
-    return logits;
+    return logits({this})[0];
 }
 
 std::vector<uint32_t>

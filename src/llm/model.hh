@@ -54,27 +54,42 @@ class Model
     /**
      * Run one block through all layers (iterative prefill step or a
      * generation step). @p x rows become KV entries; returns selection
-     * accounting and records it in history().
+     * accounting and records it in history(). forward() with this
+     * model as the only segment.
      */
     BlockStats forwardBlock(Matrix x, int32_t frame_id, TokenStage stage);
 
+    /** One model's block in a forward() call. */
+    struct Segment
+    {
+        Model *model = nullptr;
+        Matrix x; //!< Embeddings, rows x dModel.
+    };
+
     /**
-     * Fused single-token forwardBlock() over N independent models
-     * sharing one geometry: row i of @p x is model i's token
-     * embedding. Projections are fused across models (rows with
-     * equal weight seeds share one weight stream via the row-grouped
-     * matmul); caches, policies, history and hidden state advance
-     * per model exactly as a solo forwardBlock() would, so every
-     * model's bytes are identical to N sequential calls.
+     * Run one block per model through all layers in one pass: the
+     * single forward path. A solo block is one segment of T rows; a
+     * fused decode step is N segments of one row each. Models must
+     * be distinct and share one config (asserted). Models with equal
+     * seeds share one weight stream per projection (weightGroups());
+     * caches, policies, history and hidden state advance per model,
+     * so each model's bytes equal a call with its segment alone.
+     *
+     * A segment of zero rows is a no-op: its model's cache, policy,
+     * last hidden state and history stay untouched, and its stats
+     * report blockLen 0 with no layer entries.
+     *
+     * @return Stats per segment, in segment order.
      */
     static std::vector<BlockStats>
-    forwardBlockBatched(const std::vector<Model *> &models, Matrix x,
-                        int32_t frame_id, TokenStage stage);
+    forward(const std::vector<Segment> &segs, int32_t frame_id,
+            TokenStage stage);
 
-    /** Fused lastLogits() over N models: row i of the result equals
-     *  models[i]->lastLogits() bit for bit (same per-element dot
-     *  against that model's tied embedding). */
-    static Matrix lastLogitsBatched(const std::vector<Model *> &models);
+    /** Logits of each model's most recent token (tied embedding), in
+     *  one grouped matmul: element i equals models[i]->lastLogits()
+     *  bit for bit. */
+    static std::vector<std::vector<float>>
+    logits(const std::vector<const Model *> &models);
 
     /** Prefill one video frame's projected embeddings. */
     BlockStats prefillFrame(const Matrix &frame_embeds, int32_t frame_id);
@@ -88,7 +103,8 @@ class Model
     /** Hidden state of the most recent token (post final norm). */
     const std::vector<float> &lastHidden() const { return lastHid; }
 
-    /** Logits of the most recent token (tied embedding). */
+    /** Logits of the most recent token (tied embedding): logits()
+     *  over this model alone. */
     std::vector<float> lastLogits() const;
 
     /** All block stats since the last clearHistory(). */
@@ -100,11 +116,6 @@ class Model
 
     /** The installed retrieval policy (nullptr = full attention). */
     SelectionPolicy *policy() const { return selPolicy; }
-
-    /** The weight seed this model was constructed with: equal
-     *  (config, seed) pairs have byte-identical weights, the
-     *  grouping key of the batched execution path. */
-    uint64_t seed() const { return weightSeed; }
 
     /**
      * Serialize the mutable model state: KV cache, last hidden
@@ -118,6 +129,17 @@ class Model
     void restoreState(serial::ByteReader &r);
 
   private:
+    /**
+     * The one weight-sharing decision of the forward path. Weights
+     * are a pure function of (config, seed), so models with equal
+     * pairs hold byte-identical matrices and may share one weight
+     * stream. Asserts that every model has one config, then returns
+     * the indices of @p models stably sorted by seed and split into
+     * groups of equal seed (the first member lends its weights).
+     */
+    static std::vector<std::vector<uint32_t>>
+    weightGroups(const std::vector<const Model *> &models);
+
     ModelConfig cfg;
     uint64_t weightSeed;
     KVCache kv;

@@ -46,7 +46,8 @@ StreamingSession::begin(const std::string &name,
 void
 StreamingSession::accumulate(const BlockStats &stats)
 {
-    if (stats.pastLen == 0)
+    // Empty blocks (no-ops) and blocks without a past select nothing.
+    if (stats.blockLen == 0 || stats.pastLen == 0)
         return;
     const double ratio = stats.meanRatio();
     if (stats.stage == TokenStage::VideoFrame) {
@@ -98,75 +99,43 @@ void
 StreamingSession::generate(uint32_t tokens)
 {
     VREX_ASSERT(stream != nullptr, "generate before begin()");
-    for (uint32_t i = 0; i < tokens; ++i) {
-        // Argmax of the current state.
-        std::vector<float> logits = llm.lastLogits();
-        uint32_t best = static_cast<uint32_t>(
-            std::max_element(logits.begin(), logits.end()) -
-            logits.begin());
-        generatedTokens.push_back(best);
-        logitsPerStep.push_back(std::move(logits));
-        // Advance with the forced token when provided.
-        uint32_t next = best;
-        if (forcedPos < forced.size())
-            next = forced[forcedPos++];
-        accumulate(llm.forwardBlock(llm.embedTokens({next}), -1,
-                                    TokenStage::GeneratedText));
-    }
+    for (uint32_t i = 0; i < tokens; ++i)
+        generateStep({this});
 }
 
 void
-StreamingSession::generateStepBatched(
+StreamingSession::generateStep(
     const std::vector<StreamingSession *> &sessions)
 {
-    VREX_ASSERT(!sessions.empty(), "batched step needs sessions");
-    if (sessions.size() == 1) {
-        sessions[0]->generate(1);
-        return;
-    }
-
-    // Stable-sort by weight seed so equal-seed sessions form
-    // contiguous runs for the grouped matmuls. Order cannot change
-    // results: every fused op is row-independent.
-    std::vector<StreamingSession *> ordered = sessions;
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const StreamingSession *a,
-                        const StreamingSession *b) {
-                         return a->seed < b->seed;
-                     });
-
-    const uint32_t n = static_cast<uint32_t>(ordered.size());
-    std::vector<Model *> models(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        VREX_ASSERT(ordered[i]->stream != nullptr,
+    const size_t n = sessions.size();
+    std::vector<const Model *> models(n);
+    for (size_t i = 0; i < n; ++i) {
+        VREX_ASSERT(sessions[i]->stream != nullptr,
                     "generate before begin()");
-        models[i] = &ordered[i]->llm;
+        models[i] = &sessions[i]->llm;
     }
 
-    // Fused logits, then the per-session argmax / recording /
-    // forcing steps of generate(), in session order.
-    Matrix logits = Model::lastLogitsBatched(models);
-    const uint32_t vocab = models[0]->config().vocabSize;
-    const uint32_t d = models[0]->config().dModel;
-    Matrix x(n, d);
-    for (uint32_t i = 0; i < n; ++i) {
-        StreamingSession &s = *ordered[i];
-        const float *row = logits.row(i);
+    // Argmax of each session's current state; advance with the
+    // forced token when provided.
+    std::vector<std::vector<float>> logits = Model::logits(models);
+    std::vector<Model::Segment> segs(n);
+    for (size_t i = 0; i < n; ++i) {
+        StreamingSession &s = *sessions[i];
         const uint32_t best = static_cast<uint32_t>(
-            std::max_element(row, row + vocab) - row);
+            std::max_element(logits[i].begin(), logits[i].end()) -
+            logits[i].begin());
         s.generatedTokens.push_back(best);
-        s.logitsPerStep.emplace_back(row, row + vocab);
+        s.logitsPerStep.push_back(std::move(logits[i]));
         uint32_t next = best;
         if (s.forcedPos < s.forced.size())
             next = s.forced[s.forcedPos++];
-        const Matrix embed = s.llm.embedTokens({next});
-        std::copy_n(embed.row(0), d, x.row(i));
+        segs[i] = {&s.llm, s.llm.embedTokens({next})};
     }
 
-    std::vector<BlockStats> stats = Model::forwardBlockBatched(
-        models, std::move(x), -1, TokenStage::GeneratedText);
-    for (uint32_t i = 0; i < n; ++i)
-        ordered[i]->accumulate(stats[i]);
+    std::vector<BlockStats> stats =
+        Model::forward(segs, -1, TokenStage::GeneratedText);
+    for (size_t i = 0; i < n; ++i)
+        sessions[i]->accumulate(stats[i]);
 }
 
 void

@@ -83,25 +83,26 @@ class StreamingSession
     void feedQuestion(uint32_t tokens);
 
     /** Run @p tokens greedy generation steps (teacher-forced when
-     *  begin() received forced tokens). */
+     *  begin() received forced tokens): generateStep() over this
+     *  session alone, @p tokens times. */
     void generate(uint32_t tokens);
 
     /**
-     * Run ONE fused generation step across N independent sessions
-     * sharing one model geometry (the serve layer's cross-session
-     * batched dispatch). Logits and the block forward are computed
-     * in one fused pass (weight streams shared between sessions with
-     * equal seeds); argmax, token/logits recording, teacher forcing
-     * and accumulators advance per session.
+     * Run ONE generation step across N independent sessions sharing
+     * one model config: one Model::logits() and one Model::forward()
+     * call with one single-row segment per session (sessions with
+     * equal seeds share weight streams); argmax, token/logits
+     * recording, teacher forcing and accumulators advance per
+     * session. A solo step is the N = 1 case — the serve layer's
+     * fused dispatch and generate() run the same code.
      *
      * Contract: each session's state and results after this call are
      * byte-identical to that session running generate(1) alone — all
      * fused arithmetic is row-independent, so members cannot affect
-     * each other's bytes. Sessions must be distinct, begun, and of
-     * one geometry.
+     * each other's bytes. Sessions must be distinct and begun.
      */
     static void
-    generateStepBatched(const std::vector<StreamingSession *> &sessions);
+    generateStep(const std::vector<StreamingSession *> &sessions);
 
     /** Apply one scripted event via the verbs above. */
     void apply(const SessionEvent &event);

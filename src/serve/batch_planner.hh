@@ -4,10 +4,13 @@
  * dispatch round the BatchPlanner decides whether the round's
  * primary session and the currently *ready* peers form a fused
  * cross-session generation step, and accounts for what the
- * dispatcher actually did.
+ * dispatcher actually did. Both outcomes run the one forward path
+ * (StreamingSession::generateStep): a solo generation step is a
+ * step over one session, a fused step one over N sessions, so the
+ * planner chooses only how many sessions share a weight stream.
  *
  * Division of labour: the planner owns the batching *policy*
- * (eligibility of a queued event, min/max fused-step size, the
+ * (eligibility of a queued event, the fused-step size, the
  * coalesced/solo counters surfaced as Stats::batch); the Scheduler
  * owns the *mechanism* (ready-list surgery, per-member wait/slice
  * accounting, the executor handoff). The planner holds no lock of
@@ -18,8 +21,8 @@
  * Determinism: the planner never inspects clocks, RNGs or session
  * contents — eligibility is a pure function of the queued event, so
  * whether steps coalesce depends only on what is ready at dispatch
- * time, and per-session results never depend on it at all (the fused
- * execution path is bit-identical per session; see
+ * time, and per-session results never depend on it at all (a step's
+ * bytes per session do not depend on its fellow members; see
  * pipeline/streaming_session.hh).
  */
 
@@ -57,7 +60,7 @@ class BatchPlanner
      * Size of the fused step to run this round, given the primary
      * plus @p claimable_peers eligible ready peers: 0 means run the
      * normal solo slice, otherwise the member count (primary
-     * included), capped at maxBatch and only >= minBatch.
+     * included, >= 2), capped at maxBatch.
      */
     uint32_t planStepSize(uint32_t claimable_peers) const;
 

@@ -149,13 +149,14 @@ struct EngineConfig
     /** KV working-set budget + hibernation knobs. Default (budget 0)
      *  disables hibernation entirely. */
     KvBudgetConfig kvBudget;
-    /** Cross-session batched generation (PR 10): when enabled, a
-     *  dispatch round whose next item is a single-token Generate step
+    /** Cross-session batched generation: when enabled, a dispatch
+     *  round whose next item is a single-token Generate step
      *  coalesces with other sessions' ready Generate steps into one
-     *  fused forward pass (StreamingSession::generateStepBatched) —
+     *  StreamingSession::generateStep() call over all of them — the
+     *  same forward path a solo step takes with one session, so
      *  every session shares one weight stream per fused step. All
-     *  sessions share the engine's ModelConfig, so geometry always
-     *  matches; sessions with equal master seeds additionally share
+     *  sessions share the engine's ModelConfig, which that forward
+     *  requires; sessions with equal master seeds additionally share
      *  weight *values* and run under grouped matmuls. Per-session
      *  results are byte-identical to solo execution whether or not
      *  steps coalesce; with the default (disabled) the dispatch path

@@ -147,9 +147,6 @@ struct BatchConfig
     bool enabled = false;
     /** Max member sessions one fused step may coalesce (>= 2). */
     uint32_t maxBatch = 16;
-    /** Fewer claimable members than this run solo instead (a fused
-     *  step of 1 is just overhead); clamped to >= 2. */
-    uint32_t minBatch = 2;
 };
 
 /**

@@ -209,7 +209,7 @@ TEST(Integration, AttentionMatchesNaiveReference)
     Matrix q = testutil::randomMatrix(rng, 3, cfg.nHeads * cfg.headDim());
 
     Matrix fast, slow;
-    attentionForward(cfg, q, kv.layer(0), 6, nullptr, fast);
+    attentionForward(cfg, q, {{&kv.layer(0), 6, nullptr, q.rows()}}, fast);
     naiveAttention(cfg, q, kv.layer(0), 6, slow);
     ASSERT_TRUE(fast.sameShape(slow));
     for (uint32_t i = 0; i < fast.size(); ++i)

@@ -78,8 +78,9 @@ TEST_P(GqaGeometry, SparseFullSelectionMatchesDense)
             h.indices.push_back(t);
     }
     Matrix dense, sparse;
-    attentionForward(cfg, q, kv.layer(0), 3, nullptr, dense);
-    attentionForward(cfg, q, kv.layer(0), 3, &all_explicit, sparse);
+    attentionForward(cfg, q, {{&kv.layer(0), 3, nullptr, q.rows()}}, dense);
+    attentionForward(cfg, q, {{&kv.layer(0), 3, &all_explicit, q.rows()}},
+                     sparse);
     for (uint32_t i = 0; i < dense.size(); ++i)
         EXPECT_NEAR(dense.raw()[i], sparse.raw()[i], 1e-4f);
 }

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "llm/attention.hh"
 #include "llm/config.hh"
 #include "llm/kv_cache.hh"
@@ -114,8 +117,8 @@ TEST(Attention, SelectAllMatchesNullSelection)
 
     Matrix out1, out2;
     LayerSelection all = LayerSelection::full(cfg.nKvHeads);
-    attentionForward(cfg, q, kv.layer(0), 4, nullptr, out1);
-    attentionForward(cfg, q, kv.layer(0), 4, &all, out2);
+    attentionForward(cfg, q, {{&kv.layer(0), 4, nullptr, q.rows()}}, out1);
+    attentionForward(cfg, q, {{&kv.layer(0), 4, &all, q.rows()}}, out2);
     for (uint32_t i = 0; i < out1.size(); ++i)
         EXPECT_FLOAT_EQ(out1.raw()[i], out2.raw()[i]);
 }
@@ -138,8 +141,9 @@ TEST(Attention, ExplicitFullIndicesMatchSelectAll)
             h.indices.push_back(i);
     }
     Matrix out1, out2;
-    attentionForward(cfg, q, kv.layer(0), 6, nullptr, out1);
-    attentionForward(cfg, q, kv.layer(0), 6, &explicit_sel, out2);
+    attentionForward(cfg, q, {{&kv.layer(0), 6, nullptr, q.rows()}}, out1);
+    attentionForward(cfg, q, {{&kv.layer(0), 6, &explicit_sel, q.rows()}},
+                     out2);
     for (uint32_t i = 0; i < out1.size(); ++i)
         EXPECT_NEAR(out1.raw()[i], out2.raw()[i], 1e-5f);
 }
@@ -160,7 +164,7 @@ TEST(Attention, EmptySelectionAttendsOnlyBlock)
         h.selectAll = false;
 
     Matrix out;
-    attentionForward(cfg, q, kv.layer(0), 4, &none, out);
+    attentionForward(cfg, q, {{&kv.layer(0), 4, &none, q.rows()}}, out);
     // The single block token attends only itself: output head h
     // equals V row 4 for that head.
     for (uint32_t h = 0; h < cfg.nHeads; ++h) {
@@ -179,7 +183,7 @@ TEST(Attention, ZeroLengthQueryBlockYieldsEmptyOutput)
     KVCache kv(cfg); // Empty: T == 0 must not read the cache.
     Matrix q(0, cfg.nHeads * cfg.headDim());
     Matrix out(3, 3); // Stale shape, must be replaced.
-    attentionForward(cfg, q, kv.layer(0), 0, nullptr, out);
+    attentionForward(cfg, q, {{&kv.layer(0), 0, nullptr, q.rows()}}, out);
     EXPECT_EQ(out.rows(), 0u);
     EXPECT_EQ(out.cols(), cfg.dModel);
 }
@@ -195,11 +199,11 @@ TEST(AttentionDeathTest, RejectsCacheMissingTheBlock)
     Matrix out;
     // The cache holds 5 rows; past_len 5 + block 1 claims 6.
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 5, nullptr, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 5, nullptr, q.rows()}}, out),
         "block appended to the cache");
     // And past_len 2 + block 1 leaves 2 unexplained trailing rows.
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 2, nullptr, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 2, nullptr, q.rows()}}, out),
         "block appended to the cache");
 }
 
@@ -216,7 +220,8 @@ TEST(AttentionDeathTest, RejectsMalformedSelection)
     LayerSelection wrong_heads;
     wrong_heads.kvHeads.resize(cfg.nKvHeads + 1);
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 0, &wrong_heads, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 0, &wrong_heads, q.rows()}},
+                         out),
         "wrong head count");
 
     // past_len == 0: only selectAll or an empty index list is legal.
@@ -227,19 +232,21 @@ TEST(AttentionDeathTest, RejectsMalformedSelection)
         h.indices = {0};
     }
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 0, &stale, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 0, &stale, q.rows()}}, out),
         "beyond the past");
 }
 
-TEST(Attention, BatchedStepMatchesSoloBitExact)
+TEST(Attention, SegmentsMatchPerSegmentCallsBitExact)
 {
     ModelConfig cfg = ModelConfig::tiny();
     Rng rng(22);
-    // Three sessions with distinct cache depths and selections.
+    // Three sessions with distinct cache depths, block lengths and
+    // selections: a 3-row block after 5 past tokens, a 1-row decode
+    // step after 9, and a 16-row block on a fresh cache.
     KVCache kv_a(cfg), kv_b(cfg), kv_c(cfg);
-    fillLayer(kv_a, cfg, 6, rng);
+    fillLayer(kv_a, cfg, 8, rng);
     fillLayer(kv_b, cfg, 10, rng);
-    fillLayer(kv_c, cfg, 1, rng); // A freshly started session.
+    fillLayer(kv_c, cfg, 16, rng);
 
     LayerSelection partial;
     partial.kvHeads.resize(cfg.nKvHeads);
@@ -249,29 +256,31 @@ TEST(Attention, BatchedStepMatchesSoloBitExact)
     }
     LayerSelection all = LayerSelection::full(cfg.nKvHeads);
 
-    Matrix q(3, cfg.nHeads * cfg.headDim());
-    rng.fillGaussian(q.raw(), q.size(), 1.0f);
-
-    std::vector<AttentionBatchItem> items = {
-        {&kv_a.layer(0), 5, nullptr},
-        {&kv_b.layer(0), 9, &partial},
-        {&kv_c.layer(0), 0, &all},
+    const std::vector<AttentionSegment> segs = {
+        {&kv_a.layer(0), 5, nullptr, 3},
+        {&kv_b.layer(0), 9, &partial, 1},
+        {&kv_c.layer(0), 0, &all, 16},
     };
+    Matrix q(20, cfg.nHeads * cfg.headDim());
+    rng.fillGaussian(q.raw(), q.size(), 1.0f);
     Matrix fused;
-    attentionForwardBatched(cfg, q, items, fused);
-    ASSERT_EQ(fused.rows(), 3u);
+    attentionForward(cfg, q, segs, fused);
+    ASSERT_EQ(fused.rows(), 20u);
     ASSERT_EQ(fused.cols(), cfg.dModel);
 
-    for (uint32_t i = 0; i < 3; ++i) {
-        Matrix qi(1, q.cols());
-        for (uint32_t c = 0; c < q.cols(); ++c)
-            qi.at(0, c) = q.at(i, c);
+    uint32_t row = 0;
+    for (size_t i = 0; i < segs.size(); ++i) {
+        Matrix qi(segs[i].rows, q.cols());
+        for (uint32_t t = 0; t < segs[i].rows; ++t)
+            for (uint32_t c = 0; c < q.cols(); ++c)
+                qi.at(t, c) = q.at(row + t, c);
         Matrix solo;
-        attentionForward(cfg, qi, *items[i].kv, items[i].pastLen,
-                         items[i].sel, solo);
-        for (uint32_t c = 0; c < cfg.dModel; ++c)
-            EXPECT_EQ(fused.at(i, c), solo.at(0, c))
-                << "session " << i << " col " << c;
+        attentionForward(cfg, qi, {segs[i]}, solo);
+        for (uint32_t t = 0; t < segs[i].rows; ++t)
+            for (uint32_t c = 0; c < cfg.dModel; ++c)
+                EXPECT_EQ(fused.at(row + t, c), solo.at(t, c))
+                    << "segment " << i << " row " << t << " col " << c;
+        row += segs[i].rows;
     }
 }
 
@@ -366,4 +375,91 @@ TEST(Model, LogitsMatchVocab)
     model.prefillFrame(frame, 0);
     auto logits = model.lastLogits();
     EXPECT_EQ(logits.size(), cfg.vocabSize);
+}
+
+namespace
+{
+
+/** Serialized model + policy state: equal bytes mean equal caches,
+ *  last hidden state, history and retrieval-policy state. */
+std::vector<uint8_t>
+stateBytes(const Model &m)
+{
+    serial::ByteWriter w(1);
+    m.serializeState(w);
+    if (m.policy())
+        m.policy()->serializeState(w);
+    return w.finish();
+}
+
+} // namespace
+
+TEST(Model, SegmentsOfUnequalLengthMatchSeparateBlocks)
+{
+    // Four models in one forward: seeds {7, 9, 7, 7} (two weight
+    // groups, not adjacent in call order), frame blocks of 5, 3, 1
+    // and 0 rows, over caches of different depth. Each model must end
+    // byte-identical to a twin that forwarded its block alone, and
+    // the zero-row segment must leave its model untouched.
+    ModelConfig cfg = ModelConfig::tiny();
+    const uint64_t seeds[4] = {7, 9, 7, 7};
+    const uint32_t rows[4] = {5, 3, 1, 0};
+    Rng rng(9);
+    std::vector<serve::PolicyInstance> pols;
+    std::vector<std::unique_ptr<Model>> fused, solo;
+    for (uint32_t i = 0; i < 4; ++i) {
+        Matrix warm = testutil::randomMatrix(rng, 2 + i, cfg.dModel);
+        for (auto *models : {&fused, &solo}) {
+            pols.push_back(
+                serve::makePolicy(cfg, serve::PolicySpec::rekv(0.5f)));
+            models->push_back(std::make_unique<Model>(cfg, seeds[i]));
+            models->back()->setPolicy(pols.back().active());
+            models->back()->prefillFrame(warm, 0);
+        }
+    }
+
+    std::vector<Model::Segment> segs;
+    for (uint32_t i = 0; i < 4; ++i)
+        segs.push_back({fused[i].get(),
+                        testutil::randomMatrix(rng, rows[i], cfg.dModel)});
+    const std::vector<uint8_t> untouched = stateBytes(*fused[3]);
+    const std::vector<BlockStats> stats =
+        Model::forward(segs, 1, TokenStage::VideoFrame);
+    ASSERT_EQ(stats.size(), 4u);
+
+    std::vector<const Model *> fused_models;
+    for (uint32_t i = 0; i < 4; ++i) {
+        const BlockStats one =
+            solo[i]->prefillFrame(segs[i].x, 1);
+        EXPECT_EQ(stats[i].blockLen, rows[i]);
+        EXPECT_EQ(stats[i].pastLen, one.pastLen);
+        EXPECT_EQ(stats[i].layerRatios, one.layerRatios);
+        EXPECT_EQ(stats[i].selectedPerHead, one.selectedPerHead);
+        EXPECT_EQ(stateBytes(*fused[i]), stateBytes(*solo[i]))
+            << "model " << i;
+        fused_models.push_back(fused[i].get());
+    }
+    EXPECT_EQ(stateBytes(*fused[3]), untouched);
+    EXPECT_TRUE(stats[3].layerRatios.empty());
+
+    const std::vector<std::vector<float>> logits =
+        Model::logits(fused_models);
+    for (uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(logits[i], solo[i]->lastLogits()) << "model " << i;
+}
+
+TEST(ModelDeathTest, ForwardRejectsMixedConfigs)
+{
+    // Weights derive from (config name, seed) and RoPE from the
+    // config: same-seed models whose configs differ only in name
+    // hold different weights, so they may not share one forward.
+    ModelConfig a = ModelConfig::tiny();
+    ModelConfig b = a;
+    b.name = "tiny-renamed";
+    Model ma(a, 7), mb(b, 7);
+    Matrix x(1, a.dModel);
+    EXPECT_DEATH(Model::forward({{&ma, x}, {&mb, x}}, -1,
+                                TokenStage::GeneratedText),
+                 "one model config");
+    EXPECT_DEATH(Model::logits({&ma, &mb}), "one model config");
 }

@@ -11,6 +11,7 @@
 #include "pipeline/coupling.hh"
 #include "pipeline/streaming_session.hh"
 #include "retrieval/policies.hh"
+#include "testutil.hh"
 
 using namespace vrex;
 
@@ -106,6 +107,36 @@ TEST(StreamingSession, UnitEventReplayIsByteIdentical)
     EXPECT_DOUBLE_EQ(r_whole.frameRatio, r_unit.frameRatio);
     EXPECT_DOUBLE_EQ(r_whole.textRatio, r_unit.textRatio);
     EXPECT_EQ(r_whole.layerHeadRatio, r_unit.layerHeadRatio);
+}
+
+TEST(StreamingSession, ZeroTokenQuestionIsANoOp)
+{
+    // A zero-row block touches nothing: cache, policy, last hidden
+    // state, history and the snapshot accumulators stay as they were,
+    // and generation continues from the unchanged state.
+    ModelConfig cfg = ModelConfig::tiny();
+    ResvConfig rc;
+    ResvPolicy policy(cfg, rc);
+    StreamingSession session(cfg, &policy, 42);
+    SessionScript script = shortScript(8);
+    session.begin(script.name, script.video, script.seed);
+    session.feedFrame();
+    session.feedFrame();
+    session.feedQuestion(3);
+
+    const SessionRunResult before = session.snapshot();
+    const std::vector<float> hidden = session.model().lastHidden();
+    const size_t blocks = session.model().history().size();
+    session.feedQuestion(0);
+    testutil::expectIdenticalRuns(session.snapshot(), before);
+    EXPECT_EQ(session.model().cache().tokenCount(), before.totalTokens);
+    EXPECT_EQ(session.model().lastHidden(), hidden);
+    EXPECT_EQ(session.model().history().size(), blocks);
+
+    session.generate(2);
+    const SessionRunResult after = session.snapshot();
+    EXPECT_EQ(after.generated.size(), 2u);
+    EXPECT_EQ(after.totalTokens, before.totalTokens + 2);
 }
 
 TEST(AccuracyEval, FullAttentionPerfectAgreement)

@@ -372,36 +372,44 @@ TEST(BatchHibernate, FusedMembersWakeFromColdStoreBitExact)
 // Fused model step, engine-free
 // ---------------------------------------------------------------
 
-TEST(BatchStep, GenerateStepBatchedMatchesSoloSessions)
+TEST(BatchStep, GenerateStepMatchesSoloSessions)
 {
-    // Direct StreamingSession-level identity: fused vs solo stepping
-    // of mixed-seed sessions (two weight groups) with different
-    // context depths.
+    // Direct StreamingSession-level identity: stepping mixed-seed
+    // sessions (two weight groups, not adjacent in call order) with
+    // different context depths through one generateStep() vs solo
+    // generate(1). Member sets vary per step, down to a single
+    // session, and one session is teacher-forced.
     const ModelConfig model = ModelConfig::tiny();
-    const uint64_t seeds[4] = {7, 7, 9, 7};
+    const uint64_t seeds[4] = {7, 9, 7, 7};
 
     std::vector<PolicyInstance> fused_pol, solo_pol;
     std::vector<std::unique_ptr<StreamingSession>> fused, solo;
     for (int i = 0; i < 4; ++i) {
         SessionScript warm = generateHeavyScript(100 + i, i, 0);
+        std::vector<uint32_t> forced;
+        if (i == 1)
+            forced = {3, 1, 4};
         for (auto *vec : {&fused, &solo}) {
             auto &pols = vec == &fused ? fused_pol : solo_pol;
             pols.push_back(makePolicy(model, PolicySpec::rekv(0.5f)));
             vec->push_back(std::make_unique<StreamingSession>(
                 model, pols.back().active(), seeds[i]));
-            vec->back()->begin(warm.name, warm.video, warm.seed);
+            vec->back()->begin(warm.name, warm.video, warm.seed,
+                               forced);
             for (const SessionEvent &e : warm.events)
                 vec->back()->apply(e);
         }
     }
 
-    std::vector<StreamingSession *> members;
-    for (auto &s : fused)
-        members.push_back(s.get());
-    for (int step = 0; step < 3; ++step) {
-        StreamingSession::generateStepBatched(members);
-        for (auto &s : solo)
-            s->apply({SessionEvent::Type::Generate, 1});
+    const std::vector<std::vector<int>> steps = {
+        {0, 1, 2, 3}, {0, 1, 2, 3}, {3, 1, 0}, {2}, {0, 1, 2, 3}};
+    for (const std::vector<int> &step : steps) {
+        std::vector<StreamingSession *> members;
+        for (int i : step) {
+            members.push_back(fused[i].get());
+            solo[i]->apply({SessionEvent::Type::Generate, 1});
+        }
+        StreamingSession::generateStep(members);
     }
     for (int i = 0; i < 4; ++i)
         expectIdenticalRuns(fused[i]->snapshot(),

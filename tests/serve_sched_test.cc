@@ -501,6 +501,35 @@ TEST(SchedEdge, AskBeforeAnyFeedFrameMatchesSequential)
         r, sequentialReplay(cfg.model, script, PolicySpec::resv(), 42));
 }
 
+TEST(SchedEdge, ZeroTokenQuestionIsANoOp)
+{
+    // ask(id, 0, n) is a legal verb: the empty question adds nothing
+    // to the cache and the answer runs from the frame's state.
+    EngineConfig cfg;
+    cfg.model = ModelConfig::tiny();
+    cfg.workers = 2;
+    cfg.policy = PolicySpec::resv();
+    Engine engine(cfg);
+
+    SessionId id = engine.createSession();
+    engine.feedFrame(id);
+    engine.ask(id, 0, 2);
+    SessionRunResult r = engine.result(id);
+    engine.closeSession(id);
+    ASSERT_EQ(r.generated.size(), 2u);
+
+    SessionScript script;
+    script.name = "session";
+    script.events = {{SessionEvent::Type::Frame, 0},
+                     {SessionEvent::Type::Question, 0},
+                     {SessionEvent::Type::Generate, 2}};
+    const SessionRunResult seq =
+        sequentialReplay(cfg.model, script, PolicySpec::resv(), 42);
+    EXPECT_EQ(r.totalTokens, seq.totalTokens);
+    EXPECT_EQ(seq.totalTokens, script.video.tokensPerFrame + 2);
+    expectIdenticalRuns(r, seq);
+}
+
 TEST(SchedEdge, ResultOnRejectedAdmissionThrows)
 {
     EngineConfig cfg;
