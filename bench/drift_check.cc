@@ -1,30 +1,30 @@
 /**
  * @file
- * CLI for the bench drift gate (thin wrapper over
- * common/bench_compare.hh). Three modes:
+ * CLI for the bench gates (thin wrapper over common/bench_compare.hh).
+ * Three modes:
  *
  *   drift_check --verify REPORT.json [--csv REPORT.csv]
  *               [--expect-bench NAME]
  *     Schema-validate one `--json` report; optionally check that the
  *     matching `--csv` output carries exactly the same records.
  *
- *   drift_check --baseline bench/baseline.json BENCH_*.json...
- *     Diff a run against the checked-in baseline with its tolerance
- *     bands. Exits 1 on any missing metric, unit mismatch, or
- *     out-of-tolerance value; new metrics only warn (refresh the
- *     baseline to start gating them).
+ *   drift_check --gates bench/gates.json DIR [GATE...]
+ *     For each gate of the manifest (default: all), verify
+ *     DIR/BENCH_<binary>.json and its CSV twin, then diff them
+ *     against the gate's baseline. Exits 1 when a report is missing
+ *     or invalid, or when a blocking gate drifts (missing metric,
+ *     unit mismatch, value outside its band/floor/ceiling); drift in
+ *     a warn-only gate is printed but passes. New metrics only warn.
  *
- *   drift_check --write-baseline OUT.json [--rel-tol V] [--abs-tol V]
- *               [--tol BENCH=V]... BENCH_*.json...
- *     Merge reports into a fresh baseline document (the refresh
- *     workflow; see bench/refresh_baseline.sh).
+ *   drift_check --refresh bench/gates.json DIR [GATE...]
+ *     Rewrite each gate's baseline records from the reports in DIR,
+ *     classified by the gate's refresh rules; the baseline's own
+ *     tolerance header is kept. bench/gates.sh runs the benches and
+ *     calls either mode.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,43 +39,13 @@ const char kUsage[] =
     "usage:\n"
     "  drift_check --verify REPORT.json [--csv REPORT.csv]"
     " [--expect-bench NAME]\n"
-    "  drift_check --baseline BASELINE.json REPORT.json...\n"
-    "  drift_check --write-baseline OUT.json [--rel-tol V]"
-    " [--abs-tol V] [--tol BENCH=V]... REPORT.json...\n";
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "drift_check: cannot read %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
-
-bool
-loadReportFile(const std::string &path, LoadedReport &report)
-{
-    std::string text, err;
-    if (!readFile(path, text))
-        return false;
-    if (!loadReport(text, report, err)) {
-        std::fprintf(stderr, "drift_check: %s: %s\n", path.c_str(),
-                     err.c_str());
-        return false;
-    }
-    return true;
-}
+    "  drift_check --gates MANIFEST.json DIR [GATE...]\n"
+    "  drift_check --refresh MANIFEST.json DIR [GATE...]\n";
 
 int
 verifyMode(const std::vector<std::string> &args)
 {
-    std::string jsonPath, csvPath, expectBench;
+    std::string jsonPath, csvPath, expectBench, err;
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--csv" && i + 1 < args.size())
             csvPath = args[++i];
@@ -92,33 +62,11 @@ verifyMode(const std::vector<std::string> &args)
         std::fputs(kUsage, stderr);
         return 2;
     }
-
     LoadedReport report;
-    if (!loadReportFile(jsonPath, report))
+    if (!loadVerifiedReport(jsonPath, csvPath, expectBench, report,
+                            err)) {
+        std::fprintf(stderr, "drift_check: %s\n", err.c_str());
         return 1;
-    if (!expectBench.empty() && report.bench != expectBench) {
-        std::fprintf(stderr,
-                     "drift_check: %s reports bench '%s', expected "
-                     "'%s'\n", jsonPath.c_str(), report.bench.c_str(),
-                     expectBench.c_str());
-        return 1;
-    }
-    if (!csvPath.empty()) {
-        std::string text, err;
-        std::vector<Record> csv;
-        if (!readFile(csvPath, text))
-            return 1;
-        if (!loadCsv(text, csv, err)) {
-            std::fprintf(stderr, "drift_check: %s: %s\n",
-                         csvPath.c_str(), err.c_str());
-            return 1;
-        }
-        if (!sameRecords(report, csv, err)) {
-            std::fprintf(stderr,
-                         "drift_check: JSON/CSV mismatch: %s\n",
-                         err.c_str());
-            return 1;
-        }
     }
     std::printf("%s: valid vrex-bench-1 report, bench '%s', %zu "
                 "metrics%s\n", jsonPath.c_str(), report.bench.c_str(),
@@ -127,101 +75,66 @@ verifyMode(const std::vector<std::string> &args)
     return 0;
 }
 
+/**
+ * Shared front end of --gates and --refresh: load the manifest and
+ * select the gates named after DIR (all of them when none is named).
+ */
+bool
+selectGates(const std::vector<std::string> &args,
+            std::vector<GateSpec> &selected, std::string &manifestDir)
+{
+    std::string text, err;
+    std::vector<GateSpec> gates;
+    if (!readFile(args[0], text))
+        err = "cannot read the manifest";
+    if (!err.empty() || !loadGates(text, gates, err)) {
+        std::fprintf(stderr, "drift_check: %s: %s\n", args[0].c_str(),
+                     err.c_str());
+        return false;
+    }
+    const size_t slash = args[0].find_last_of('/');
+    manifestDir =
+        slash == std::string::npos ? "." : args[0].substr(0, slash);
+    if (args.size() == 2)
+        selected = gates;
+    for (size_t i = 2; i < args.size(); ++i) {
+        auto it = std::find_if(
+            gates.begin(), gates.end(),
+            [&](const GateSpec &g) { return g.name == args[i]; });
+        if (it == gates.end()) {
+            std::fprintf(stderr, "drift_check: no gate '%s' in %s\n",
+                         args[i].c_str(), args[0].c_str());
+            return false;
+        }
+        selected.push_back(*it);
+    }
+    return true;
+}
+
 int
-baselineMode(const std::vector<std::string> &args)
+gatesMode(const std::vector<std::string> &args, bool refresh)
 {
     if (args.size() < 2) {
         std::fputs(kUsage, stderr);
         return 2;
     }
-    std::string text, err;
-    Baseline baseline;
-    if (!readFile(args[0], text))
-        return 1;
-    if (!loadBaseline(text, baseline, err)) {
-        std::fprintf(stderr, "drift_check: %s: %s\n", args[0].c_str(),
-                     err.c_str());
-        return 1;
-    }
-
-    std::vector<LoadedReport> runs;
-    for (size_t i = 1; i < args.size(); ++i) {
-        LoadedReport report;
-        if (!loadReportFile(args[i], report))
-            return 1;
-        runs.push_back(std::move(report));
-    }
-
-    DriftReport drift = compareToBaseline(baseline, runs);
-    for (const auto &issue : drift.issues)
-        std::fprintf(stderr, "DRIFT: %s\n", issue.describe().c_str());
-    for (const auto &bench : drift.benchesWithoutBaseline)
-        std::fprintf(stderr,
-                     "warning: bench '%s' has no baseline records\n",
-                     bench.c_str());
-    if (drift.newMetrics)
-        std::fprintf(stderr,
-                     "warning: %zu metric(s) not in the baseline "
-                     "(refresh to gate them)\n", drift.newMetrics);
-    std::printf("drift_check: %zu metric(s) compared, %zu issue(s)\n",
-                drift.compared, drift.issues.size());
-    return drift.ok() ? 0 : 1;
-}
-
-int
-writeBaselineMode(const std::vector<std::string> &args)
-{
-    if (args.empty()) {
-        std::fputs(kUsage, stderr);
+    std::vector<GateSpec> gates;
+    std::string manifestDir;
+    if (!selectGates(args, gates, manifestDir))
         return 2;
-    }
-    std::string outPath = args[0];
-    Baseline baseline;
-    std::vector<std::string> inputs;
-    for (size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == "--rel-tol" && i + 1 < args.size()) {
-            baseline.defaultRelTol = std::atof(args[++i].c_str());
-        } else if (args[i] == "--abs-tol" && i + 1 < args.size()) {
-            baseline.defaultAbsTol = std::atof(args[++i].c_str());
-        } else if (args[i] == "--tol" && i + 1 < args.size()) {
-            std::string spec = args[++i];
-            size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr,
-                             "drift_check: bad --tol '%s' (want "
-                             "BENCH=VALUE)\n", spec.c_str());
-                return 2;
-            }
-            baseline.benchRelTol.emplace_back(
-                spec.substr(0, eq),
-                std::atof(spec.c_str() + eq + 1));
-        } else {
-            inputs.push_back(args[i]);
-        }
-    }
-    if (inputs.empty()) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
 
-    for (const auto &path : inputs) {
-        LoadedReport report;
-        if (!loadReportFile(path, report))
-            return 1;
-        for (auto &r : report.records)
-            baseline.records.push_back(std::move(r));
+    size_t failed = 0;
+    for (const GateSpec &gate : gates) {
+        std::string log;
+        const bool ok =
+            refresh ? refreshGate(gate, manifestDir, args[1], log)
+                    : checkGate(gate, manifestDir, args[1], log);
+        std::fputs(log.c_str(), stdout);
+        failed += !ok;
     }
-
-    std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << renderBaseline(baseline)).flush()) {
-        std::fprintf(stderr, "drift_check: cannot write %s\n",
-                     outPath.c_str());
-        return 1;
-    }
-    std::printf("wrote %s: %zu metrics from %zu report(s)\n",
-                outPath.c_str(), baseline.records.size(),
-                inputs.size());
-    return 0;
+    std::printf("drift_check: %zu gate(s), %zu failed\n", gates.size(),
+                failed);
+    return failed ? 1 : 0;
 }
 
 } // namespace
@@ -238,10 +151,10 @@ main(int argc, char **argv)
     args.erase(args.begin());
     if (mode == "--verify")
         return verifyMode(args);
-    if (mode == "--baseline")
-        return baselineMode(args);
-    if (mode == "--write-baseline")
-        return writeBaselineMode(args);
+    if (mode == "--gates")
+        return gatesMode(args, false);
+    if (mode == "--refresh")
+        return gatesMode(args, true);
     std::fputs(kUsage, stderr);
     return 2;
 }

@@ -10,29 +10,25 @@
  * dimensionless batched/sequential throughput multiplier.
  *
  * Throughput is host wall-clock, so this bench is excluded from the
- * figure drift gate (`bench/baseline.json`). It carries its own
- * committed baseline instead, `bench/batch_baseline.json`, following
- * the micro_core perf-baseline idiom: multipliers on the rows the
- * batching contract promises (>= 8 same-geometry sessions measuring
- * >= 1.5x on the refresh machine) get a *floor* at the measured
- * value with 25% relative headroom, raw steps/s stay informational,
- * and the fused-step shape counters (coalesced steps/members, fill
- * ratio — exact logical counts under a staged single-worker burst)
- * band-gate at the default tolerance.
+ * figure drift gate (`bench/baseline.json`). It has its own warn-only
+ * gate in bench/gates.json, `batch` (baseline
+ * `bench/batch_baseline.json`): multipliers on the rows the batching
+ * contract promises (>= 8 same-geometry sessions measuring >= 1.5x
+ * on the refresh machine) get a *floor* at the measured value with
+ * 25% relative headroom, raw steps/s stay informational, and the
+ * fused-step shape counters (coalesced steps/members, fill ratio —
+ * exact logical counts under a staged single-worker burst) band-gate
+ * at the default tolerance.
  *
  *   fig_batch [--json PATH] [--csv PATH] [--quiet]
- *             [--write-batch-baseline PATH]
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/bench_compare.hh"
 #include "common/bench_report.hh"
 #include "serve/engine.hh"
 
@@ -218,106 +214,15 @@ report(bench::Reporter &rep, const std::vector<SweepPoint> &points,
     rep.add("sessions=8", "multiplier", distinctMultiplier, "x", 2);
 }
 
-/**
- * Derive the committed baseline from this run (micro_core idiom,
- * adapted): steps/s and the distinct-seed control are informational;
- * a shared multiplier becomes a *floor* on the rows the batching
- * contract actually promises — >= 8 same-geometry sessions measuring
- * >= 1.5x — recorded at the measured value so the 25% relative
- * tolerance is the headroom (a multiplier collapsing to ~1x, i.e.
- * fusion no longer paying for itself, trips the gate; runner noise
- * does not). The fused-step counters band-gate — they are exact
- * logical counts, not timings.
- */
-bool
-writeBatchBaseline(const std::string &path,
-                   const std::vector<SweepPoint> &points,
-                   double distinctMultiplier)
-{
-    bench::Baseline base;
-    base.defaultRelTol = 0.25;
-    base.defaultAbsTol = 1e-6;
-    auto push = [&](const std::string &panel, const std::string &row,
-                    const std::string &metric, double value,
-                    const std::string &unit, bench::Gate gate) {
-        bench::Record r;
-        r.bench = "batch";
-        r.panel = panel;
-        r.row = row;
-        r.metric = metric;
-        r.value = value;
-        r.unit = unit;
-        r.gate = gate;
-        base.records.push_back(std::move(r));
-    };
-    for (const SweepPoint &p : points) {
-        const std::string row = rowLabel(p.sessions);
-        push("shared", row, "seq_steps_per_sec", p.seqSps, "steps/s",
-             bench::Gate::Info);
-        push("shared", row, "batched_steps_per_sec", p.batSps,
-             "steps/s", bench::Gate::Info);
-        const bool gate = p.sessions >= 8 && p.multiplier >= 1.5;
-        push("shared", row, "multiplier", p.multiplier, "x",
-             gate ? bench::Gate::Floor : bench::Gate::Info);
-        push("fusion", row, "coalesced_steps",
-             static_cast<double>(p.batch.coalescedSteps), "",
-             bench::Gate::Band);
-        push("fusion", row, "coalesced_members",
-             static_cast<double>(p.batch.coalescedMembers), "",
-             bench::Gate::Band);
-        push("fusion", row, "solo_units",
-             static_cast<double>(p.batch.soloSteps), "",
-             bench::Gate::Band);
-        push("fusion", row, "mean_batch", p.batch.meanBatchSize(), "",
-             bench::Gate::Band);
-        push("fusion", row, "fill_ratio",
-             100.0 * p.batch.fillRatio(), "%", bench::Gate::Band);
-    }
-    push("distinct", "sessions=8", "multiplier", distinctMultiplier,
-         "x", bench::Gate::Info);
-
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << bench::renderBaseline(base)).flush()) {
-        std::fprintf(stderr, "fig_batch: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::printf("wrote %s: %zu batch metrics\n", path.c_str(),
-                base.records.size());
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Strip the bench-local --write-batch-baseline flag before the
-    // shared flag parser sees the command line.
-    std::string baselinePath;
-    std::vector<char *> passThrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (i + 1 < argc &&
-            std::strcmp(argv[i], "--write-batch-baseline") == 0) {
-            baselinePath = argv[++i];
-            continue;
-        }
-        passThrough.push_back(argv[i]);
-    }
-
-    std::vector<SweepPoint> points;
-    double distinctMultiplier = 0.0;
-    const int rc = bench::runBench(
-        "batch", static_cast<int>(passThrough.size()),
-        passThrough.data(),
-        [&points, &distinctMultiplier](bench::Reporter &rep) {
-            runSweep(points, distinctMultiplier);
-            report(rep, points, distinctMultiplier);
-        });
-    if (rc != 0)
-        return rc;
-    if (!baselinePath.empty() &&
-        !writeBatchBaseline(baselinePath, points, distinctMultiplier))
-        return 1;
-    return 0;
+    return bench::runBench("batch", argc, argv, [](bench::Reporter &rep) {
+        std::vector<SweepPoint> points;
+        double distinctMultiplier = 0.0;
+        runSweep(points, distinctMultiplier);
+        report(rep, points, distinctMultiplier);
+    });
 }

@@ -11,24 +11,20 @@
  * wall-clock timings, so they are excluded from the figure drift gate
  * (`bench/baseline.json`). Instead every kernel row reports the
  * scalar-vs-dispatched `speedup` ratio — machine-relative and far
- * more stable — and `bench/perf_baseline.json` floor-gates those
- * ratios via `drift_check --baseline` (see bench/README.md: rows with
- * a measured speedup >= 2x get a floor at half the measured value;
- * everything else is recorded as `info`).
+ * more stable — and the warn-only `perf` gate of bench/gates.json
+ * floor-gates those ratios against `bench/perf_baseline.json` (see
+ * bench/README.md: rows with a measured speedup >= 2x get a floor at
+ * half the measured value; everything else is recorded as `info`).
  *
  *   micro_core [--json PATH] [--csv PATH] [--quiet]
- *              [--write-perf-baseline PATH]
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/bench_compare.hh"
 #include "common/bench_report.hh"
 #include "common/bits.hh"
 #include "common/rng.hh"
@@ -198,25 +194,9 @@ runKernelRows(std::vector<RowResult> &rows)
     }
 }
 
-/** Info-gated baseline record for a context metric. */
-bench::Record
-infoRecord(const std::string &row, const std::string &metric,
-           double value, const std::string &unit)
-{
-    bench::Record r;
-    r.bench = "micro_core";
-    r.panel = "context";
-    r.row = row;
-    r.metric = metric;
-    r.value = value;
-    r.unit = unit;
-    r.gate = bench::Gate::Info;
-    return r;
-}
-
 /** Non-dispatched neighbours, for longitudinal context (info only). */
 void
-runContextRows(bench::Reporter &rep, std::vector<bench::Record> &info)
+runContextRows(bench::Reporter &rep)
 {
     rep.beginPanel("context",
                    "Non-dispatched neighbours (host ns, info only)");
@@ -229,7 +209,6 @@ runContextRows(bench::Reporter &rep, std::vector<bench::Record> &info)
                                              keys.data() + 128, 128);
     });
     rep.add("cosine dim=128", "ns", nsCosine, "ns", 1);
-    info.push_back(infoRecord("cosine dim=128", "ns", nsCosine, "ns"));
 
     {
         const uint32_t n = 256, dim = 128;
@@ -249,8 +228,6 @@ runContextRows(bench::Reporter &rep, std::vector<bench::Record> &info)
         });
         rep.add("hc_insert n=256", "ns_per_token", nsInsert / n, "ns",
                 1);
-        info.push_back(infoRecord("hc_insert n=256", "ns_per_token",
-                                  nsInsert / n, "ns"));
     }
 
     {
@@ -269,8 +246,6 @@ runContextRows(bench::Reporter &rep, std::vector<bench::Record> &info)
             sinkU64 = sinkU64 + r.scanned;
         });
         rep.add("wicsum_ref n=4096", "ns", nsRef, "ns", 1);
-        info.push_back(
-            infoRecord("wicsum_ref n=4096", "ns", nsRef, "ns"));
     }
 }
 
@@ -297,90 +272,16 @@ reportRows(bench::Reporter &rep, const std::vector<RowResult> &rows)
     }
 }
 
-/**
- * Derive the floor-gated perf baseline from this run: ns metrics are
- * informational; a speedup only becomes a floor when this machine
- * measured at least 2x (floor = half the measured ratio, so shared
- * runners have headroom), otherwise it is informational too.
- */
-bool
-writePerfBaseline(const std::string &path,
-                  const std::vector<RowResult> &rows,
-                  const std::vector<bench::Record> &info)
-{
-    bench::Baseline base;
-    base.defaultRelTol = 0.25;
-    base.defaultAbsTol = 1e-6;
-    auto push = [&](const std::string &panel, const std::string &row,
-                    const std::string &metric, double value,
-                    const std::string &unit, bench::Gate gate) {
-        bench::Record r;
-        r.bench = "micro_core";
-        r.panel = panel;
-        r.row = row;
-        r.metric = metric;
-        r.value = value;
-        r.unit = unit;
-        r.gate = gate;
-        base.records.push_back(std::move(r));
-    };
-    for (const auto &r : rows) {
-        push(r.panel, r.row, "scalar_ns", r.scalarNs, "ns",
-             bench::Gate::Info);
-        for (const auto &[isa, ns] : r.simdNs)
-            push(r.panel, r.row,
-                 std::string(kernels::isaName(isa)) + "_ns", ns, "ns",
-                 bench::Gate::Info);
-        const bool gate = r.speedup >= 2.0;
-        push(r.panel, r.row, "speedup",
-             gate ? r.speedup / 2.0 : r.speedup, "x",
-             gate ? bench::Gate::Floor : bench::Gate::Info);
-    }
-    for (const auto &r : info)
-        base.records.push_back(r);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << bench::renderBaseline(base)).flush()) {
-        std::fprintf(stderr, "micro_core: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::printf("wrote %s: %zu perf metrics\n", path.c_str(),
-                base.records.size());
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Strip the bench-local --write-perf-baseline flag before the
-    // shared flag parser sees the command line.
-    std::string perfBaselinePath;
-    std::vector<char *> passThrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (i + 1 < argc &&
-            std::strcmp(argv[i], "--write-perf-baseline") == 0) {
-            perfBaselinePath = argv[++i];
-            continue;
-        }
-        passThrough.push_back(argv[i]);
-    }
-
-    std::vector<RowResult> rows;
-    std::vector<bench::Record> contextInfo;
-    const int rc = bench::runBench(
-        "micro_core", static_cast<int>(passThrough.size()),
-        passThrough.data(),
-        [&rows, &contextInfo](bench::Reporter &rep) {
+    return bench::runBench(
+        "micro_core", argc, argv, [](bench::Reporter &rep) {
+            std::vector<RowResult> rows;
             runKernelRows(rows);
             reportRows(rep, rows);
-            runContextRows(rep, contextInfo);
+            runContextRows(rep);
         });
-    if (rc != 0)
-        return rc;
-    if (!perfBaselinePath.empty() &&
-        !writePerfBaseline(perfBaselinePath, rows, contextInfo))
-        return 1;
-    return 0;
 }

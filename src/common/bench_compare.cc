@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -18,6 +20,7 @@ namespace
 
 const char kReportSchema[] = "vrex-bench-1";
 const char kBaselineSchema[] = "vrex-bench-baseline-1";
+const char kGatesSchema[] = "vrex-bench-gates-1";
 
 bool
 parseGate(const std::string &text, Gate &out)
@@ -504,6 +507,260 @@ compareToBaseline(const Baseline &baseline,
         }
     }
     return report;
+}
+
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    out = ss.str();
+    return static_cast<bool>(in);
+}
+
+namespace
+{
+
+bool
+loadBaselineFile(const std::string &path, Baseline &baseline,
+                 std::string &err)
+{
+    std::string text;
+    err.clear();
+    if (readFile(path, text) && loadBaseline(text, baseline, err))
+        return true;
+    err = path + ": " + (err.empty() ? "cannot read baseline" : err);
+    return false;
+}
+
+/** Parse one refresh rule; each key must be known and well-typed. */
+bool
+ruleFromJson(const json::Value &v, RefreshRule &rule)
+{
+    bool hasGate = false;
+    for (const auto &[key, f] : v.members()) {
+        const bool str = f.isString();
+        if (key == "panel" && str)
+            rule.panel = f.str();
+        else if (key == "metric" && str)
+            rule.metric = f.str();
+        else if (key == "unit" && str)
+            rule.unit = f.str();
+        else if (key == "rows" && f.isArray()) {
+            for (const auto &row : f.array()) {
+                if (!row.isString())
+                    return false;
+                rule.rows.push_back(row.str());
+            }
+        } else if (key == "at_least" && f.isNumber())
+            rule.atLeast = f.number();
+        else if (key == "scale" && f.isNumber())
+            rule.scale = f.number();
+        else if (key == "gate" && str && parseGate(f.str(), rule.gate))
+            hasGate = true;
+        else
+            return false;
+    }
+    return v.isObject() && hasGate;
+}
+
+/** Parse one gate entry; sets `err` (without location) on failure. */
+bool
+gateFromJson(const json::Value &v, GateSpec &gate, std::string &err)
+{
+    for (const auto &[key, f] : v.members()) {
+        if (key == "name" && f.isString()) {
+            gate.name = f.str();
+        } else if (key == "baseline" && f.isString()) {
+            gate.baseline = f.str();
+        } else if (key == "blocking" && f.isBool()) {
+            gate.blocking = f.boolean();
+        } else if (key == "benches" && f.isObject()) {
+            for (const auto &[binary, bench] : f.members()) {
+                if (!bench.isString() || bench.str().empty()) {
+                    err = "bench '" + binary + "' needs a report name";
+                    return false;
+                }
+                gate.benches.emplace_back(binary, bench.str());
+            }
+        } else if (key == "refresh" && f.isArray()) {
+            for (const auto &r : f.array()) {
+                gate.refresh.emplace_back();
+                if (!ruleFromJson(r, gate.refresh.back())) {
+                    err = "malformed refresh rule";
+                    return false;
+                }
+            }
+        } else {
+            err = "unknown or ill-typed key '" + key + "'";
+            return false;
+        }
+    }
+    if (gate.name.empty() || gate.baseline.empty() ||
+        gate.benches.empty())
+        err = "needs a name, a baseline path and benches";
+    return v.isObject() && err.empty();
+}
+
+} // namespace
+
+bool
+loadVerifiedReport(const std::string &jsonPath,
+                   const std::string &csvPath,
+                   const std::string &expectBench, LoadedReport &report,
+                   std::string &err)
+{
+    std::string text;
+    std::vector<Record> csv;
+    if (!readFile(jsonPath, text))
+        err = "missing report " + jsonPath;
+    else if (!loadReport(text, report, err))
+        err = jsonPath + ": " + err;
+    else if (!expectBench.empty() && report.bench != expectBench)
+        err = jsonPath + " reports bench '" + report.bench +
+              "', expected '" + expectBench + "'";
+    else if (csvPath.empty())
+        return true;
+    else if (!readFile(csvPath, text))
+        err = "missing report " + csvPath;
+    else if (!loadCsv(text, csv, err))
+        err = csvPath + ": " + err;
+    else if (!sameRecords(report, csv, err))
+        err = "JSON/CSV mismatch for " + jsonPath + ": " + err;
+    else
+        return true;
+    return false;
+}
+
+bool
+loadGates(const std::string &jsonText, std::vector<GateSpec> &out,
+          std::string &err)
+{
+    err.clear();
+    json::Value doc = json::parse(jsonText, &err);
+    if (!err.empty())
+        return false;
+    const json::Value *gates = doc.find("gates");
+    if (doc.strOr("schema", "") != kGatesSchema || !gates ||
+        !gates->isArray() || doc.members().size() != 2) {
+        err = "want {\"schema\": \"vrex-bench-gates-1\", \"gates\": [...]}";
+        return false;
+    }
+    out.clear();
+    std::unordered_set<std::string> names, binaries;
+    for (const auto &v : gates->array()) {
+        GateSpec gate;
+        if (!gateFromJson(v, gate, err)) {
+            err = "gate '" + gate.name + "': " + err;
+            return false;
+        }
+        if (!names.insert(gate.name).second) {
+            err = "gate '" + gate.name + "' listed twice";
+            return false;
+        }
+        for (const auto &bench : gate.benches) {
+            if (!binaries.insert(bench.first).second) {
+                err = "bench '" + bench.first + "' listed in two gates";
+                return false;
+            }
+        }
+        out.push_back(std::move(gate));
+    }
+    return true;
+}
+
+Record
+refreshRecord(const GateSpec &gate, Record r)
+{
+    r.gate = Gate::Band;
+    for (const RefreshRule &rule : gate.refresh) {
+        const bool matches =
+            (rule.panel.empty() || rule.panel == r.panel) &&
+            (rule.metric.empty() || rule.metric == r.metric) &&
+            (rule.unit.empty() || rule.unit == r.unit) &&
+            (rule.rows.empty() ||
+             std::find(rule.rows.begin(), rule.rows.end(), r.row) !=
+                 rule.rows.end());
+        if (!matches)
+            continue;
+        if (rule.atLeast && !(r.value >= *rule.atLeast)) {
+            r.gate = Gate::Info;
+        } else {
+            r.gate = rule.gate;
+            r.value *= rule.scale;
+        }
+        break;
+    }
+    return r;
+}
+
+bool
+checkGate(const GateSpec &gate, const std::string &manifestDir,
+          const std::string &reportDir, std::string &log)
+{
+    std::vector<std::string> errors;
+    std::string err;
+    Baseline baseline;
+    if (!loadBaselineFile(manifestDir + "/" + gate.baseline, baseline,
+                          err))
+        errors.push_back(err);
+    std::vector<LoadedReport> runs(gate.benches.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const std::string stem =
+            reportDir + "/BENCH_" + gate.benches[i].first;
+        if (!loadVerifiedReport(stem + ".json", stem + ".csv",
+                                gate.benches[i].second, runs[i], err))
+            errors.push_back(err);
+    }
+    DriftReport drift;
+    if (errors.empty())
+        drift = compareToBaseline(baseline, runs);
+    for (const auto &e : errors)
+        log += "ERROR: " + e + "\n";
+    for (const auto &issue : drift.issues)
+        log += "DRIFT: " + issue.describe() + "\n";
+    for (const auto &bench : drift.benchesWithoutBaseline)
+        log += "warning: bench '" + bench + "' has no baseline records\n";
+    if (drift.newMetrics)
+        log += "warning: " + std::to_string(drift.newMetrics) +
+               " metric(s) not in the baseline (refresh to gate them)\n";
+    const bool ok = errors.empty() && (drift.ok() || !gate.blocking);
+    log += gate.name + (gate.blocking ? "" : " (warn-only)") + ": " +
+           std::to_string(drift.compared) + " metric(s) compared, " +
+           std::to_string(drift.issues.size()) + " issue(s)" +
+           (ok ? "" : ", FAILED") + "\n";
+    return ok;
+}
+
+bool
+refreshGate(const GateSpec &gate, const std::string &manifestDir,
+            const std::string &reportDir, std::string &log)
+{
+    const std::string path = manifestDir + "/" + gate.baseline;
+    std::string err;
+    Baseline baseline;
+    bool ok = loadBaselineFile(path, baseline, err);
+    baseline.records.clear();
+    for (const auto &[binary, bench] : gate.benches) {
+        LoadedReport report;
+        ok = ok && loadVerifiedReport(reportDir + "/BENCH_" + binary +
+                                          ".json",
+                                      "", bench, report, err);
+        for (auto &r : report.records)
+            baseline.records.push_back(refreshRecord(gate, std::move(r)));
+    }
+    if (ok) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        ok = out && (out << renderBaseline(baseline)).flush();
+        if (!ok)
+            err = "cannot write " + path;
+    }
+    log += ok ? gate.name + ": wrote " + path + ", " +
+                    std::to_string(baseline.records.size()) +
+                    " metric(s)\n"
+              : "ERROR: " + gate.name + ": " + err + "\n";
+    return ok;
 }
 
 } // namespace vrex::bench

@@ -1,15 +1,21 @@
 /**
  * @file
  * Reader-side of the bench reporting subsystem: load and validate
- * `vrex-bench-1` reports, cross-check CSV output, and diff a run
- * against the checked-in `bench/baseline.json` with tolerance bands.
+ * `vrex-bench-1` reports, cross-check CSV output, diff a run against
+ * a checked-in `vrex-bench-baseline-1` document with tolerance bands,
+ * and drive the bench-gate manifest (`bench/gates.json`), which names
+ * every baseline, the bench binaries it gates, whether its drift
+ * blocks, and the rules that classify records when it is refreshed.
  * The `drift_check` CLI in bench/ is a thin wrapper over this.
  */
 
 #ifndef VREX_COMMON_BENCH_COMPARE_HH
 #define VREX_COMMON_BENCH_COMPARE_HH
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vrex::bench
@@ -126,6 +132,75 @@ struct DriftReport
  */
 DriftReport compareToBaseline(const Baseline &baseline,
                               const std::vector<LoadedReport> &runs);
+
+/** Read a whole file; false when it cannot be opened or read. */
+bool readFile(const std::string &path, std::string &out);
+
+/**
+ * Read and validate one `--json` report; a non-empty @p expectBench
+ * must match its bench name, and a non-empty @p csvPath must hold the
+ * same records (the JSON/CSV round trip CI asserts).
+ */
+bool loadVerifiedReport(const std::string &jsonPath,
+                        const std::string &csvPath,
+                        const std::string &expectBench,
+                        LoadedReport &report, std::string &err);
+
+/**
+ * One refresh rule of a gate. It matches a record when every selector
+ * it sets equals the record's field (`rows`: any listed row); the
+ * record then gets `gate` at value * `scale`, or Info at its measured
+ * value when that is below `atLeast`.
+ */
+struct RefreshRule
+{
+    std::string panel, metric, unit;  //!< Selectors; empty = any.
+    std::vector<std::string> rows;    //!< Selector; empty = any.
+    std::optional<double> atLeast;
+    double scale = 1.0;
+    Gate gate = Gate::Band;
+};
+
+/** One entry of the bench-gate manifest (bench/gates.json). */
+struct GateSpec
+{
+    std::string name;
+    std::string baseline;  //!< Relative to the manifest's directory.
+    bool blocking = true;  //!< Drift fails the check only if blocking.
+    /** (bench binary, report bench name), in baseline record order. */
+    std::vector<std::pair<std::string, std::string>> benches;
+    /** First match wins; an unmatched record refreshes to Band. */
+    std::vector<RefreshRule> refresh;
+};
+
+/**
+ * Parse a `vrex-bench-gates-1` manifest. Rejects unknown or ill-typed
+ * keys, a gate without name, baseline path or benches, duplicate gate
+ * names, and a bench binary listed twice.
+ */
+bool loadGates(const std::string &jsonText, std::vector<GateSpec> &out,
+               std::string &err);
+
+/** Classify one run record by @p gate's refresh rules. */
+Record refreshRecord(const GateSpec &gate, Record r);
+
+/**
+ * Check @p gate: verify DIR/BENCH_<binary>.json and .csv of each of
+ * its benches, then diff them against its baseline (relative to
+ * @p manifestDir). Appends ERROR/DRIFT/warning lines and a summary
+ * to @p log. False on any error, or on drift in a blocking gate.
+ */
+bool checkGate(const GateSpec &gate, const std::string &manifestDir,
+               const std::string &reportDir, std::string &log);
+
+/**
+ * Rewrite @p gate's baseline records from DIR/BENCH_<binary>.json
+ * through refreshRecord(), keeping the file's tolerance header.
+ * Appends one line to @p log; false on a missing/invalid report or
+ * an unreadable/unwritable baseline.
+ */
+bool refreshGate(const GateSpec &gate, const std::string &manifestDir,
+                 const std::string &reportDir, std::string &log);
 
 } // namespace vrex::bench
 

@@ -7,6 +7,41 @@
 namespace vrex
 {
 
+namespace
+{
+
+/** Blob identity of a model config: every field ModelConfig's
+ *  operator== compares, in declaration order. */
+void
+putConfig(serial::ByteWriter &w, const ModelConfig &cfg)
+{
+    w.putString(cfg.name);
+    w.put<uint32_t>(cfg.nLayers);
+    w.put<uint32_t>(cfg.dModel);
+    w.put<uint32_t>(cfg.nHeads);
+    w.put<uint32_t>(cfg.nKvHeads);
+    w.put<uint32_t>(cfg.ffnDim);
+    w.put<uint32_t>(cfg.vocabSize);
+    w.put<float>(cfg.ropeTheta);
+}
+
+ModelConfig
+getConfig(serial::ByteReader &r)
+{
+    ModelConfig cfg;
+    cfg.name = r.getString();
+    cfg.nLayers = r.get<uint32_t>();
+    cfg.dModel = r.get<uint32_t>();
+    cfg.nHeads = r.get<uint32_t>();
+    cfg.nKvHeads = r.get<uint32_t>();
+    cfg.ffnDim = r.get<uint32_t>();
+    cfg.vocabSize = r.get<uint32_t>();
+    cfg.ropeTheta = r.get<float>();
+    return cfg;
+}
+
+} // namespace
+
 StreamingSession::StreamingSession(const ModelConfig &model_config,
                                    SelectionPolicy *policy,
                                    uint64_t seed_value)
@@ -21,14 +56,11 @@ StreamingSession::begin(const std::string &name,
                         std::vector<uint32_t> forced_tokens)
 {
     llm.resetSession();
-    const ModelConfig &cfg = llm.config();
-    const uint32_t vision_dim = std::max(32u, cfg.dModel / 4);
-    stream = std::make_unique<Stream>(video, vision_dim, cfg.dModel,
-                                      seed ^ script_seed, seed, name);
-
     streamName = name;
     streamVideo = video;
     scriptSeed = script_seed;
+    openStream();
+
     forced = std::move(forced_tokens);
     forcedPos = 0;
     frameId = 0;
@@ -41,6 +73,15 @@ StreamingSession::begin(const std::string &name,
     framesFed = 0;
     frameSum = textSum = 0.0;
     frameN = textN = 0;
+}
+
+void
+StreamingSession::openStream()
+{
+    const uint32_t d_model = llm.config().dModel;
+    stream = std::make_unique<Stream>(
+        streamVideo, std::max(32u, d_model / 4), d_model,
+        seed ^ scriptSeed, seed, streamName);
 }
 
 void
@@ -205,15 +246,7 @@ StreamingSession::serialize() const
 
     // Identity block: validated (not applied) by restore().
     w.put<uint64_t>(seed);
-    const ModelConfig &cfg = llm.config();
-    w.putString(cfg.name);
-    w.put<uint32_t>(cfg.nLayers);
-    w.put<uint32_t>(cfg.dModel);
-    w.put<uint32_t>(cfg.nHeads);
-    w.put<uint32_t>(cfg.nKvHeads);
-    w.put<uint32_t>(cfg.ffnDim);
-    w.put<uint32_t>(cfg.vocabSize);
-    w.put<float>(cfg.ropeTheta);
+    putConfig(w, llm.config());
     w.putBool(llm.policy() != nullptr);
 
     // Stream block (absent before begin()).
@@ -273,20 +306,12 @@ StreamingSession::restore(const std::vector<uint8_t> &blob)
             "StreamingSession::restore: seed mismatch (blob " +
             std::to_string(blob_seed) + ", session " +
             std::to_string(seed) + ")");
-    const ModelConfig &cfg = llm.config();
-    const std::string blob_model = r.getString();
-    const bool geom_ok = blob_model == cfg.name &&
-        r.get<uint32_t>() == cfg.nLayers &&
-        r.get<uint32_t>() == cfg.dModel &&
-        r.get<uint32_t>() == cfg.nHeads &&
-        r.get<uint32_t>() == cfg.nKvHeads &&
-        r.get<uint32_t>() == cfg.ffnDim &&
-        r.get<uint32_t>() == cfg.vocabSize &&
-        r.get<float>() == cfg.ropeTheta;
-    if (!geom_ok)
+    const ModelConfig blob_cfg = getConfig(r);
+    if (!(blob_cfg == llm.config()))
         throw serial::SerialError(
             "StreamingSession::restore: model geometry mismatch "
-            "(blob was serialized from model '" + blob_model + "')");
+            "(blob was serialized from model '" + blob_cfg.name +
+            "')");
     const bool blob_has_policy = r.getBool();
     if (blob_has_policy != (llm.policy() != nullptr))
         throw serial::SerialError(
@@ -304,11 +329,7 @@ StreamingSession::restore(const std::vector<uint8_t> &blob)
         streamVideo.tokenNoise = r.get<double>();
         streamVideo.tokenIdentity = r.get<double>();
         scriptSeed = r.get<uint64_t>();
-        const uint32_t vision_dim = std::max(32u, cfg.dModel / 4);
-        stream = std::make_unique<Stream>(streamVideo, vision_dim,
-                                          cfg.dModel,
-                                          seed ^ scriptSeed, seed,
-                                          streamName);
+        openStream();
         stream->gen.restore(r);
     } else {
         stream.reset();

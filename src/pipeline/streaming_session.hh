@@ -179,8 +179,11 @@ class StreamingSession
 
   private:
     void accumulate(const BlockStats &stats);
+    /** (Re)build the vision stack from streamName/streamVideo/
+     *  scriptSeed — the one construction begin() and restore() share. */
+    void openStream();
 
-    /** The per-stream vision stack, rebuilt by begin(). */
+    /** The per-stream vision stack, rebuilt by openStream(). */
     struct Stream
     {
         FrameGenerator gen;

@@ -126,15 +126,7 @@ Engine::tryCreateSession(const SessionOptions &options)
     try {
         auto s = std::make_unique<Session>();
         s->options = options;
-        const PolicySpec &spec =
-            options.policy ? *options.policy : cfg.policy;
-        const uint64_t seed = options.sessionSeed ? *options.sessionSeed
-                                                  : cfg.sessionSeed;
-        const PolicyFactory &factory =
-            cfg.factory ? *cfg.factory : PolicyFactory::global();
-        s->policy = factory.make(cfg.model, spec);
-        s->exec = std::make_unique<StreamingSession>(
-            cfg.model, s->policy.active(), seed);
+        buildExec(*s);
         s->exec->begin(options.name, options.video,
                        options.scriptSeed, options.forcedTokens);
 
@@ -300,14 +292,8 @@ Engine::pinOrThrow(SessionId id)
 }
 
 void
-Engine::wakeSession(SessionId id, Session &s)
+Engine::buildExec(Session &s)
 {
-    const auto t0 = WallClock::now();
-    std::vector<uint8_t> blob = coldStore->get(id);
-    // Rebuild exactly what tryCreateSession built — weights, policy
-    // and RNG streams are deterministic from (config, seed), so only
-    // the blob's state overlay distinguishes this from a fresh
-    // session. restore() validates the identity and is bit-exact.
     const SessionOptions &options = s.options;
     const PolicySpec &spec =
         options.policy ? *options.policy : cfg.policy;
@@ -318,6 +304,33 @@ Engine::wakeSession(SessionId id, Session &s)
     s.policy = factory.make(cfg.model, spec);
     s.exec = std::make_unique<StreamingSession>(
         cfg.model, s.policy.active(), seed);
+}
+
+template <typename Fn>
+decltype(auto)
+Engine::withAwakeSession(SessionId id, Fn &&fn)
+{
+    // Pin when drained: the dispatcher skips the session while the
+    // body runs outside any lock, so peers keep scheduling. Events
+    // enqueued meanwhile run after unpin.
+    pinOrThrow(id);
+    PinGuard pin(sched, id);
+    Session &s = pinnedSession(id);
+    if (s.hibernated)
+        wakeSession(id, s);
+    return fn(s);
+}
+
+void
+Engine::wakeSession(SessionId id, Session &s)
+{
+    const auto t0 = WallClock::now();
+    std::vector<uint8_t> blob = coldStore->get(id);
+    // Rebuild exactly what tryCreateSession built — weights, policy
+    // and RNG streams are deterministic from (config, seed), so only
+    // the blob's state overlay distinguishes this from a fresh
+    // session. restore() validates the identity and is bit-exact.
+    buildExec(s);
     s.exec->restore(blob);
     s.hibernated = false;
     coldStore->erase(id);
@@ -369,15 +382,9 @@ Engine::enforceBudget(SessionId self)
 SessionRunResult
 Engine::result(SessionId id)
 {
-    // Pin when drained: the dispatcher skips the session while the
-    // potentially large snapshot copies outside any lock, so peers
-    // keep scheduling. Events enqueued meanwhile run after unpin.
-    pinOrThrow(id);
-    PinGuard pin(sched, id);
-    Session &s = pinnedSession(id);
-    if (s.hibernated)
-        wakeSession(id, s);
-    return s.exec->snapshot();
+    // The potentially large snapshot copies under the pin only.
+    return withAwakeSession(
+        id, [](Session &s) { return s.exec->snapshot(); });
 }
 
 void
@@ -442,34 +449,28 @@ Engine::sessionStats(SessionId id) const
 const Model &
 Engine::model(SessionId id)
 {
-    pinOrThrow(id);
-    PinGuard pin(sched, id);
-    Session &s = pinnedSession(id);
-    if (s.hibernated)
-        wakeSession(id, s);
-    return s.exec->model();
+    return withAwakeSession(id, [](Session &s) -> const Model & {
+        return s.exec->model();
+    });
 }
 
 const PolicyInstance &
 Engine::policy(SessionId id)
 {
-    pinOrThrow(id);
-    PinGuard pin(sched, id);
-    Session &s = pinnedSession(id);
-    if (s.hibernated)
-        wakeSession(id, s);
-    return s.policy;
+    return withAwakeSession(
+        id, [](Session &s) -> const PolicyInstance & {
+            return s.policy;
+        });
 }
 
 const MemoryReplayStats *
 Engine::memoryStats(SessionId id)
 {
-    pinOrThrow(id);
-    PinGuard pin(sched, id);
-    Session &s = pinnedSession(id);
-    if (s.hibernated)
-        wakeSession(id, s);
-    return s.policy.memory() ? &s.policy.memory()->stats() : nullptr;
+    return withAwakeSession(
+        id, [](Session &s) -> const MemoryReplayStats * {
+            return s.policy.memory() ? &s.policy.memory()->stats()
+                                     : nullptr;
+        });
 }
 
 FidelityResult

@@ -359,9 +359,17 @@ class Engine
     Session &pinnedSession(SessionId id);
     /** pinWhenIdle or std::out_of_range for unknown/closed ids. */
     void pinOrThrow(SessionId id);
+    /** Pin @p id once drained, wake it if hibernated, and return
+     *  fn(session) — the preamble of every drained-session accessor.
+     *  The pin is released on return or throw. */
+    template <typename Fn>
+    decltype(auto) withAwakeSession(SessionId id, Fn &&fn);
 
     // Hibernation transitions. Callers hold exclusive access to the
     // session (it is running on this worker, or pinned by us).
+    /** Build s.policy and s.exec from s.options (policy spec, seed,
+     *  factory) — shared by tryCreateSession and wakeSession. */
+    void buildExec(Session &s);
     /** Rebuild model/policy from config + seed and restore the cold
      *  blob bit-exactly; erases the blob on success. */
     void wakeSession(SessionId id, Session &s);

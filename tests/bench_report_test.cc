@@ -2,12 +2,17 @@
  * @file
  * Tests for the bench reporting subsystem: Reporter rendering (human
  * / JSON / CSV), the golden record schema, the shared arg parser, the
- * json_lite reader, and the baseline drift comparison that CI runs
- * against bench/baseline.json.
+ * json_lite reader, the baseline drift comparison, and the bench-gate
+ * manifest (bench/gates.json) that CI checks every baseline through.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <map>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -562,4 +567,371 @@ TEST(LoadCsv, RejectsMalformedDocuments)
         "bench,panel,row,metric,value,unit\r\nb,p,r,m,1.5,u\r\n", out,
         err)) << err;
     EXPECT_EQ(out[0].value, 1.5);
+}
+
+// ---------------------------------------------------------------
+// bench-gate manifest (bench/gates.json)
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** The committed manifest; VREX_BENCH_DIR is set by tests/CMake. */
+std::vector<GateSpec>
+committedGates()
+{
+    std::string text, err;
+    std::vector<GateSpec> gates;
+    EXPECT_TRUE(readFile(std::string(VREX_BENCH_DIR) + "/gates.json",
+                         text));
+    EXPECT_TRUE(loadGates(text, gates, err)) << err;
+    return gates;
+}
+
+GateSpec
+committedGate(const std::string &name)
+{
+    for (const GateSpec &g : committedGates()) {
+        if (g.name == name)
+            return g;
+    }
+    ADD_FAILURE() << "no gate " << name;
+    return {};
+}
+
+/** Parse a Reporter's JSON the way drift_check reads a report. */
+LoadedReport
+loaded(const Reporter &rep)
+{
+    LoadedReport out;
+    std::string err;
+    EXPECT_TRUE(loadReport(rep.renderJson(), out, err)) << err;
+    return out;
+}
+
+/** A minimal one-gate manifest around @p gateBody. */
+std::string
+manifestWith(const std::string &gateBody)
+{
+    return R"({"schema": "vrex-bench-gates-1", "gates": [)" + gateBody +
+           "]}";
+}
+
+void
+writeText(const std::filesystem::path &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+}
+
+} // namespace
+
+TEST(Gates, ParsesRulesAndBenchOrder)
+{
+    std::vector<GateSpec> gates;
+    std::string err;
+    ASSERT_TRUE(loadGates(manifestWith(R"(
+        {"name": "g", "baseline": "b.json", "blocking": false,
+         "benches": {"bin_z": "z", "bin_a": "a"},
+         "refresh": [{"panel": "p", "rows": ["r1", "r2"],
+                      "at_least": 1.5, "gate": "floor", "scale": 0.5}]})"),
+                          gates, err)) << err;
+    ASSERT_EQ(gates.size(), 1u);
+    const GateSpec &g = gates[0];
+    EXPECT_FALSE(g.blocking);
+    ASSERT_EQ(g.benches.size(), 2u);
+    EXPECT_EQ(g.benches[0], std::make_pair(std::string("bin_z"),
+                                           std::string("z")));
+    ASSERT_EQ(g.refresh.size(), 1u);
+    EXPECT_EQ(g.refresh[0].rows.size(), 2u);
+    EXPECT_EQ(*g.refresh[0].atLeast, 1.5);
+    EXPECT_EQ(g.refresh[0].scale, 0.5);
+    EXPECT_EQ(g.refresh[0].gate, Gate::Floor);
+}
+
+TEST(Gates, RejectsMalformedManifests)
+{
+    const std::string ok =
+        R"({"name": "a", "baseline": "a.json", "blocking": true,
+            "benches": {"bin1": "one"}})";
+    std::vector<GateSpec> gates;
+    std::string err;
+    ASSERT_TRUE(loadGates(manifestWith(ok), gates, err)) << err;
+
+    // A bench binary listed in two gates.
+    err.clear();
+    EXPECT_FALSE(loadGates(
+        manifestWith(ok + R"(, {"name": "b", "baseline": "b.json",
+            "blocking": true, "benches": {"bin1": "one"}})"),
+        gates, err));
+    EXPECT_NE(err.find("two gates"), std::string::npos) << err;
+
+    // Unknown keys, at every level.
+    EXPECT_FALSE(loadGates(
+        R"({"schema": "vrex-bench-gates-1", "extra": 1, "gates": [)" +
+            ok + "]}",
+        gates, err));
+    EXPECT_FALSE(loadGates(
+        manifestWith(R"({"name": "a", "baseline": "a.json",
+            "blocking": true, "benches": {"bin1": "one"},
+            "tolerance": 0.1})"),
+        gates, err));
+    EXPECT_NE(err.find("key 'tolerance'"), std::string::npos) << err;
+    EXPECT_FALSE(loadGates(
+        manifestWith(R"({"name": "a", "baseline": "a.json",
+            "blocking": true, "benches": {"bin1": "one"},
+            "refresh": [{"metric": "m", "gate": "info", "row": "r"}]})"),
+        gates, err));
+
+    // A missing (or empty) baseline path.
+    EXPECT_FALSE(loadGates(
+        manifestWith(R"({"name": "a", "blocking": true,
+            "benches": {"bin1": "one"}})"),
+        gates, err));
+    EXPECT_NE(err.find("baseline"), std::string::npos) << err;
+    EXPECT_FALSE(loadGates(
+        manifestWith(R"({"name": "a", "baseline": "", "blocking": true,
+            "benches": {"bin1": "one"}})"),
+        gates, err));
+
+    // Also: duplicate gate names, no benches, bad gate class, schema.
+    EXPECT_FALSE(loadGates(
+        manifestWith(ok + R"(, {"name": "a", "baseline": "b.json",
+            "blocking": true, "benches": {"bin2": "two"}})"),
+        gates, err));
+    EXPECT_FALSE(loadGates(
+        manifestWith(R"({"name": "a", "baseline": "a.json",
+            "blocking": true, "benches": {}})"),
+        gates, err));
+    EXPECT_FALSE(loadGates(
+        manifestWith(R"({"name": "a", "baseline": "a.json",
+            "blocking": true, "benches": {"bin1": "one"},
+            "refresh": [{"metric": "m", "gate": "sometimes"}]})"),
+        gates, err));
+    EXPECT_FALSE(loadGates(R"({"schema": "v0", "gates": [)" + ok + "]}",
+                           gates, err));
+}
+
+// Every bench binary (bench/*.cc except the drift_check tool itself)
+// sits in exactly one gate whose baseline loads and carries records
+// of the bench's report name, so a new bench cannot land ungated.
+TEST(Gates, EveryBenchBinaryIsGatedOnce)
+{
+    const std::vector<GateSpec> gates = committedGates();
+    std::map<std::string, int> listed;
+    for (const GateSpec &g : gates) {
+        std::string text, err;
+        Baseline base;
+        ASSERT_TRUE(readFile(std::string(VREX_BENCH_DIR) + "/" +
+                                 g.baseline,
+                             text)) << g.baseline;
+        ASSERT_TRUE(loadBaseline(text, base, err)) << err;
+        for (const auto &[binary, benchName] : g.benches) {
+            ++listed[binary];
+            const bool hasRecords = std::any_of(
+                base.records.begin(), base.records.end(),
+                [&](const Record &r) { return r.bench == benchName; });
+            EXPECT_TRUE(hasRecords) << binary << " in " << g.baseline;
+        }
+    }
+    size_t sources = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(VREX_BENCH_DIR)) {
+        if (entry.path().extension() != ".cc")
+            continue;
+        const std::string binary = entry.path().stem().string();
+        if (binary == "drift_check")
+            continue;
+        ++sources;
+        EXPECT_EQ(listed[binary], 1) << binary << " is not gated";
+    }
+    EXPECT_EQ(listed.size(), sources) << "a gate names a missing bench";
+}
+
+// The perf gate's rules reproduce the classification the micro_core
+// baseline has always used: speedup >= 2x floors at half its value,
+// a slower speedup and every ns timing are info.
+TEST(Gates, PerfRefreshMatchesMicroCoreClasses)
+{
+    const GateSpec perf = committedGate("perf");
+    Reporter rep("micro_core");
+    rep.beginPanel("hamming", "t");
+    rep.add("nbits=64", "scalar_ns", 12.5, "ns", 1);
+    rep.add("nbits=64", "avx2_ns", 2.5, "ns", 1);
+    rep.add("nbits=64", "speedup", 5.0, "x", 2);
+    rep.add("nbits=4096", "scalar_ns", 40.0, "ns", 1);
+    rep.add("nbits=4096", "speedup", 2.0, "x", 2);
+    rep.beginPanel("encode", "t");
+    rep.add("dim=128,nbits=32", "scalar_ns", 30.0, "ns", 1);
+    rep.add("dim=128,nbits=32", "speedup", 1.99, "x", 2);
+    rep.beginPanel("context", "t");
+    rep.add("cosine dim=128", "ns", 55.0, "ns", 1);
+    rep.add("hc_insert n=256", "ns_per_token", 9.0, "ns", 1);
+
+    struct Want
+    {
+        Gate gate;
+        double value;
+    };
+    const std::vector<Want> want = {
+        {Gate::Info, 12.5},  {Gate::Info, 2.5}, {Gate::Floor, 2.5},
+        {Gate::Info, 40.0},  {Gate::Floor, 1.0}, {Gate::Info, 30.0},
+        {Gate::Info, 1.99},  {Gate::Info, 55.0}, {Gate::Info, 9.0},
+    };
+    const LoadedReport run = loaded(rep);
+    ASSERT_EQ(run.records.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const Record r = refreshRecord(perf, run.records[i]);
+        EXPECT_EQ(r.key(), run.records[i].key());
+        EXPECT_EQ(r.unit, run.records[i].unit);
+        EXPECT_EQ(r.gate, want[i].gate) << r.pretty();
+        EXPECT_EQ(r.value, want[i].value) << r.pretty();
+    }
+}
+
+// The batch gate's rules reproduce the fig_batch classification: the
+// shared multiplier floors at its measured value only on sessions=8
+// and sessions=16 rows measuring >= 1.5x; other multipliers
+// (including the distinct-seed control) and steps/s are info; the
+// fused-step counters band.
+TEST(Gates, BatchRefreshMatchesFigBatchClasses)
+{
+    const GateSpec batch = committedGate("batch");
+    Reporter rep("batch");
+    rep.beginPanel("shared", "t");
+    for (const auto &[row, mult] :
+         std::vector<std::pair<std::string, double>>{
+             {"sessions=4", 3.0},
+             {"sessions=8", 1.7},
+             {"sessions=16", 1.4}}) {
+        rep.add(row, "seq_steps_per_sec", 100.0, "steps/s", 0);
+        rep.add(row, "batched_steps_per_sec", 100.0 * mult, "steps/s",
+                0);
+        rep.add(row, "multiplier", mult, "x", 2);
+    }
+    rep.beginPanel("fusion", "t");
+    rep.add("sessions=8", "coalesced_steps", 24.0, "", 0);
+    rep.add("sessions=8", "fill_ratio", 50.0, "%", 1);
+    rep.beginPanel("distinct", "t");
+    rep.add("sessions=8", "multiplier", 1.9, "x", 2);
+
+    std::map<std::string, std::pair<Gate, double>> want = {
+        {"shared/sessions=4/multiplier", {Gate::Info, 3.0}},
+        {"shared/sessions=8/multiplier", {Gate::Floor, 1.7}},
+        {"shared/sessions=16/multiplier", {Gate::Info, 1.4}},
+        {"fusion/sessions=8/coalesced_steps", {Gate::Band, 24.0}},
+        {"fusion/sessions=8/fill_ratio", {Gate::Band, 50.0}},
+        {"distinct/sessions=8/multiplier", {Gate::Info, 1.9}},
+    };
+    for (const Record &in : loaded(rep).records) {
+        const Record r = refreshRecord(batch, in);
+        EXPECT_EQ(r.key(), in.key());
+        const std::string id = r.panel + "/" + r.row + "/" + r.metric;
+        if (r.unit == "steps/s") {
+            EXPECT_EQ(r.gate, Gate::Info) << id;
+            EXPECT_EQ(r.value, in.value) << id;
+            continue;
+        }
+        ASSERT_TRUE(want.count(id)) << id;
+        EXPECT_EQ(r.gate, want[id].first) << id;
+        EXPECT_EQ(r.value, want[id].second) << id;
+        want.erase(id);
+    }
+    EXPECT_TRUE(want.empty());
+}
+
+// Check/refresh over files: a blocking gate fails on drift or on a
+// missing report; a warn-only gate prints its DRIFT line and passes;
+// refresh rewrites the records and keeps the tolerance header.
+TEST(Gates, CheckBlocksOnlyBlockingGatesAndRefreshKeepsHeader)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "vrex_gates";
+    fs::remove_all(dir);
+    fs::create_directories(dir / "reports");
+
+    std::vector<GateSpec> gates;
+    std::string err;
+    ASSERT_TRUE(loadGates(
+        manifestWith(R"(
+        {"name": "hard", "baseline": "hard.json", "blocking": true,
+         "benches": {"bin_hard": "hard"}},
+        {"name": "soft", "baseline": "soft.json", "blocking": false,
+         "benches": {"bin_soft": "soft"},
+         "refresh": [{"metric": "m", "at_least": 2.0,
+                      "gate": "floor"}]})"),
+        gates, err)) << err;
+
+    auto baselineOf = [](const std::string &bench, double value) {
+        Baseline b;
+        b.defaultRelTol = 0.1;
+        b.benchRelTol = {{bench, 0.2}};
+        b.records = {{bench, "p", "r", "m", value, "x"}};
+        return renderBaseline(b);
+    };
+    writeText(dir / "hard.json", baselineOf("hard", 10.0));
+    writeText(dir / "soft.json", baselineOf("soft", 10.0));
+    auto writeReport = [&](const std::string &bench, double value) {
+        Reporter rep(bench);
+        rep.beginPanel("p", "t");
+        rep.add("r", "m", value, "x");
+        writeText(dir / "reports" / ("BENCH_bin_" + bench + ".json"),
+                  rep.renderJson());
+        writeText(dir / "reports" / ("BENCH_bin_" + bench + ".csv"),
+                  rep.renderCsv());
+    };
+    const std::string reports = (dir / "reports").string();
+
+    writeReport("hard", 10.5);
+    writeReport("soft", 3.0);  // Far outside its band.
+    std::string log;
+    EXPECT_TRUE(checkGate(gates[0], dir.string(), reports, log)) << log;
+    EXPECT_NE(log.find("hard: 1 metric(s) compared, 0 issue(s)"),
+              std::string::npos) << log;
+    log.clear();
+    EXPECT_TRUE(checkGate(gates[1], dir.string(), reports, log)) << log;
+    EXPECT_NE(log.find("DRIFT: "), std::string::npos) << log;
+    EXPECT_NE(log.find("soft (warn-only): 1 metric(s) compared, "
+                       "1 issue(s)\n"),
+              std::string::npos) << log;
+
+    writeReport("hard", 3.0);
+    log.clear();
+    EXPECT_FALSE(checkGate(gates[0], dir.string(), reports, log));
+    EXPECT_NE(log.find("DRIFT: "), std::string::npos) << log;
+    EXPECT_NE(log.find("FAILED"), std::string::npos) << log;
+
+    // A missing report fails even a warn-only gate.
+    fs::remove(dir / "reports" / "BENCH_bin_soft.json");
+    log.clear();
+    EXPECT_FALSE(checkGate(gates[1], dir.string(), reports, log));
+    EXPECT_NE(log.find("missing report"), std::string::npos) << log;
+    EXPECT_FALSE(refreshGate(gates[1], dir.string(), reports, log));
+
+    // A CSV that disagrees with its JSON twin fails too.
+    writeReport("soft", 3.0);
+    writeText(dir / "reports" / "BENCH_bin_soft.csv",
+              "bench,panel,row,metric,value,unit\nsoft,p,r,m,4,x\n");
+    EXPECT_FALSE(checkGate(gates[1], dir.string(), reports, log));
+
+    // Refresh: the rule floors 3.0 (>= 2), the header survives, and
+    // the refreshed baseline passes its own check.
+    writeReport("soft", 3.0);
+    log.clear();
+    ASSERT_TRUE(refreshGate(gates[1], dir.string(), reports, log))
+        << log;
+    EXPECT_NE(log.find("1 metric(s)"), std::string::npos) << log;
+    std::string text;
+    Baseline refreshed;
+    ASSERT_TRUE(readFile((dir / "soft.json").string(), text));
+    ASSERT_TRUE(loadBaseline(text, refreshed, err)) << err;
+    EXPECT_DOUBLE_EQ(refreshed.defaultRelTol, 0.1);
+    EXPECT_DOUBLE_EQ(refreshed.relTolFor("soft"), 0.2);
+    ASSERT_EQ(refreshed.records.size(), 1u);
+    EXPECT_EQ(refreshed.records[0].gate, Gate::Floor);
+    EXPECT_EQ(refreshed.records[0].value, 3.0);
+    log.clear();
+    EXPECT_TRUE(checkGate(gates[1], dir.string(), reports, log));
+    EXPECT_NE(log.find("0 issue(s)"), std::string::npos) << log;
+    fs::remove_all(dir);
 }

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serial.hh"
@@ -329,12 +330,29 @@ TEST(SessionSerialize, RejectsIdentityMismatch)
     StreamingSession other_seed = freshSession(model, spec, 22, p2);
     EXPECT_THROW(other_seed.restore(blob), serial::SerialError);
 
-    // Wrong model geometry.
-    ModelConfig grown = model;
-    grown.nLayers += 1;
-    serve::PolicyInstance p3;
-    StreamingSession other_geom = freshSession(grown, spec, 21, p3);
-    EXPECT_THROW(other_geom.restore(blob), serial::SerialError);
+    // Wrong model config: every field ModelConfig::operator==
+    // compares is part of the blob identity, changed one at a time
+    // (each variant is still a valid geometry).
+    const std::vector<std::pair<const char *, void (*)(ModelConfig &)>>
+        variants = {
+            {"name", [](ModelConfig &c) { c.name += "-other"; }},
+            {"nLayers", [](ModelConfig &c) { c.nLayers += 1; }},
+            {"dModel", [](ModelConfig &c) { c.dModel *= 2; }},
+            {"nHeads", [](ModelConfig &c) { c.nHeads /= 2; }},
+            {"nKvHeads", [](ModelConfig &c) { c.nKvHeads /= 2; }},
+            {"ffnDim", [](ModelConfig &c) { c.ffnDim += 64; }},
+            {"vocabSize", [](ModelConfig &c) { c.vocabSize += 1; }},
+            {"ropeTheta", [](ModelConfig &c) { c.ropeTheta *= 2.0f; }},
+        };
+    for (const auto &[field, mutate] : variants) {
+        ModelConfig changed = model;
+        mutate(changed);
+        ASSERT_FALSE(changed == model) << field;
+        serve::PolicyInstance p3;
+        StreamingSession other_cfg = freshSession(changed, spec, 21, p3);
+        EXPECT_THROW(other_cfg.restore(blob), serial::SerialError)
+            << field;
+    }
 
     // Policy-presence mismatch: blob carries policy state, the
     // restoring session runs full attention with no policy.
